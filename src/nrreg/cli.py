@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from .correspondence import CorrespondenceMap, load_correspondences, save_corres
 from .geometry import MeshParseError, Shape, load_shape, save_shape
 from .metrics import fit_residual_distributions, fitting_error, residuals_for_analysis
 from .operators import SingularSystemError, TransformStack, assemble_system
-from .solver import SolverConfig, register
+from .solver import VARIANTS, SolverConfig, register
 from .synthesis import (
     DeformationSpec,
     landmark_subset,
@@ -37,6 +38,14 @@ TRANSFORM_HEADER = "nonrigid-transforms v1"
 
 class CliError(Exception):
     """User-facing failure; message printed to stderr, exit code 1."""
+
+
+@contextmanager
+def _timed(timings, phase):
+    """Record the wall seconds of the block as ``timings[phase]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[phase] = time.perf_counter() - t0
 
 
 def save_transforms(path, stack):
@@ -146,8 +155,7 @@ def _config_overrides(args):
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat JSON config file")
-    parser.add_argument("--variant", choices=("dual_sparse", "l2", "snr",
-                                              "group_sparse"))
+    parser.add_argument("--variant", choices=VARIANTS)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--beta", type=float)
     parser.add_argument("--eps-data", dest="eps_data", type=float)
@@ -156,7 +164,6 @@ def _add_config_flags(parser):
     parser.add_argument("--inner-iters", dest="inner_iters", type=int)
     parser.add_argument("--max-dist-factor", dest="max_dist_factor", type=float)
     parser.add_argument("--knn-k", dest="knn_k", type=int)
-    parser.add_argument("--rng-seed", dest="rng_seed", type=int)
     parser.add_argument("--no-reweight", dest="reweight", action="store_false",
                         default=None)
 
@@ -179,52 +186,50 @@ def _error_report_payload(report):
 
 def cmd_register(args):
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    template = _load_shape_checked(args.template)
-    target = _load_shape_checked(args.target)
-    corr = None
-    inputs = [args.template, args.target]
-    if args.corr:
-        corr = load_correspondences(args.corr, template.n_vertices, target.n_vertices)
-        inputs.append(args.corr)
-    if args.config:
-        inputs.append(args.config)
-    cfg = load_config(args.config, _config_overrides(args))
-    t_load = time.perf_counter() - t0
+    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+    with _timed(timings, "load"):
+        template = _load_shape_checked(args.template)
+        target = _load_shape_checked(args.target)
+        corr = None
+        inputs = [args.template, args.target]
+        if args.corr:
+            corr = load_correspondences(args.corr, template.n_vertices,
+                                        target.n_vertices)
+            inputs.append(args.corr)
+        if args.config:
+            inputs.append(args.config)
+        cfg = load_config(args.config, _config_overrides(args))
 
-    t0 = time.perf_counter()
-    try:
-        result = register(template, target, corr, cfg)
-    except (SingularSystemError, RuntimeError) as exc:
-        raise CliError(f"solver failure: {exc}")
-    t_solve = time.perf_counter() - t0
+    with _timed(timings, "solve"):
+        try:
+            result = register(template, target, corr, cfg)
+        except (SingularSystemError, RuntimeError) as exc:
+            raise CliError(f"solver failure: {exc}")
 
-    t0 = time.perf_counter()
-    ext = _ext_of(args.template)
-    deformed_path = os.path.join(args.out, "deformed" + ext)
-    save_shape(result.deformed, deformed_path)
-    transforms_path = os.path.join(args.out, "transforms.txt")
-    save_transforms(transforms_path, result.transforms)
-    log_path = os.path.join(args.out, "iterations.json")
-    _write_json(log_path, {"converged": result.converged, "outer": result.log})
-    outputs = [deformed_path, transforms_path, log_path]
-    if args.ground_truth:
-        gt = _load_shape_checked(args.ground_truth)
-        inputs.append(args.ground_truth)
-        report = fitting_error(result.transforms, template, gt.vertices)
-        report_path = os.path.join(args.out, "error_report.json")
-        _write_json(report_path, _error_report_payload(report))
-        colored_path = os.path.join(args.out, "error_colored.ply")
-        save_shape(report.colored_mesh, colored_path)
-        outputs += [report_path, colored_path]
-    t_write = time.perf_counter() - t0
+    with _timed(timings, "write"):
+        ext = _ext_of(args.template)
+        deformed_path = os.path.join(args.out, "deformed" + ext)
+        save_shape(result.deformed, deformed_path)
+        transforms_path = os.path.join(args.out, "transforms.txt")
+        save_transforms(transforms_path, result.transforms)
+        log_path = os.path.join(args.out, "iterations.json")
+        _write_json(log_path, {"converged": result.converged, "outer": result.log})
+        outputs = [deformed_path, transforms_path, log_path]
+        if args.ground_truth:
+            gt = _load_shape_checked(args.ground_truth)
+            inputs.append(args.ground_truth)
+            report = fitting_error(result.transforms, template, gt.vertices)
+            report_path = os.path.join(args.out, "error_report.json")
+            _write_json(report_path, _error_report_payload(report))
+            colored_path = os.path.join(args.out, "error_colored.ply")
+            save_shape(report.colored_mesh, colored_path)
+            outputs += [report_path, colored_path]
 
     write_manifest(args.out, "register",
                    {"template": args.template, "target": args.target,
                     "corr": args.corr, "ground_truth": args.ground_truth,
                     "config": args.config, "out": args.out},
-                   cfg, inputs, cfg.rng_seed, outputs,
-                   {"load": t_load, "solve": t_solve, "write": t_write})
+                   cfg, inputs, None, outputs, timings)
     log.info("register: converged=%s after %d outer iterations",
              result.converged, len(result.log))
     return 0 if result.converged else 2
@@ -232,188 +237,180 @@ def cmd_register(args):
 
 def cmd_perturb(args):
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    shape = _load_shape_checked(args.input)
-    t_load = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    if args.kind == "noise":
-        out_shape = perturb_noise(shape, args.sigma, args.seed)
-        idx = np.array([], dtype=np.int64)
-    else:
-        out_shape, idx = perturb_outliers(shape, args.fraction, args.sigma,
-                                          args.seed)
-    t_solve = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    out_path = os.path.join(args.out, "corrupted" + _ext_of(args.input))
-    save_shape(out_shape, out_path)
-    idx_path = os.path.join(args.out, "outliers.txt")
-    with open(idx_path, "w") as fh:
-        fh.write("\n".join(str(i) for i in idx) + ("\n" if len(idx) else ""))
-    t_write = time.perf_counter() - t0
+    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+    with _timed(timings, "load"):
+        shape = _load_shape_checked(args.input)
+    with _timed(timings, "solve"):
+        if args.kind == "noise":
+            out_shape = perturb_noise(shape, args.sigma, args.seed)
+            idx = np.array([], dtype=np.int64)
+        else:
+            out_shape, idx = perturb_outliers(shape, args.fraction, args.sigma,
+                                              args.seed)
+    with _timed(timings, "write"):
+        out_path = os.path.join(args.out, "corrupted" + _ext_of(args.input))
+        save_shape(out_shape, out_path)
+        idx_path = os.path.join(args.out, "outliers.txt")
+        with open(idx_path, "w") as fh:
+            fh.write("\n".join(str(i) for i in idx) + ("\n" if len(idx) else ""))
     write_manifest(args.out, "perturb",
                    {"input": args.input, "kind": args.kind, "sigma": args.sigma,
                     "fraction": args.fraction, "seed": args.seed,
                     "out": args.out},
-                   None, [args.input], args.seed, [out_path, idx_path],
-                   {"load": t_load, "solve": t_solve, "write": t_write})
+                   None, [args.input], args.seed, [out_path, idx_path], timings)
     return 0
 
 
 def cmd_evaluate(args):
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    template = _load_shape_checked(args.template)
-    gt = _load_shape_checked(args.ground_truth)
-    stack = load_transforms(args.transforms)
-    t_load = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    report = fitting_error(stack, template, gt.vertices)
-    t_solve = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    report_path = os.path.join(args.out, "error_report.json")
-    _write_json(report_path, _error_report_payload(report))
-    colored_path = os.path.join(args.out, "error_colored.ply")
-    save_shape(report.colored_mesh, colored_path)
-    t_write = time.perf_counter() - t0
+    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+    with _timed(timings, "load"):
+        template = _load_shape_checked(args.template)
+        gt = _load_shape_checked(args.ground_truth)
+        stack = load_transforms(args.transforms)
+    with _timed(timings, "solve"):
+        report = fitting_error(stack, template, gt.vertices)
+    with _timed(timings, "write"):
+        report_path = os.path.join(args.out, "error_report.json")
+        _write_json(report_path, _error_report_payload(report))
+        colored_path = os.path.join(args.out, "error_colored.ply")
+        save_shape(report.colored_mesh, colored_path)
     write_manifest(args.out, "evaluate",
                    {"template": args.template, "ground_truth": args.ground_truth,
                     "transforms": args.transforms, "out": args.out},
                    None, [args.template, args.ground_truth, args.transforms],
-                   None, [report_path, colored_path],
-                   {"load": t_load, "solve": t_solve, "write": t_write})
+                   None, [report_path, colored_path], timings)
     return 0
 
 
 def cmd_fit_residuals(args):
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    template = _load_shape_checked(args.template)
-    target = _load_shape_checked(args.target)
-    corr = load_correspondences(args.corr, template.n_vertices, target.n_vertices)
-    stack = load_transforms(args.transforms)
-    t_load = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    edges = np.empty((0, 2), dtype=np.int64)
-    sys_ = assemble_system(template, edges, corr, target.vertices)
-    payload = {}
-    for mode in ("per_axis_l1", "euclidean"):
-        fit = fit_residual_distributions(
-            residuals_for_analysis(stack, sys_, mode))
-        payload[mode] = {
-            "laplace": {"location": fit.laplace[0], "scale": fit.laplace[1],
-                        "loglik": fit.loglik_laplace},
-            "gauss": {"mean": fit.gauss[0], "std": fit.gauss[1],
-                      "loglik": fit.loglik_gauss},
-        }
-    t_solve = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fit_path = os.path.join(args.out, "residual_fit.json")
-    _write_json(fit_path, payload)
-    t_write = time.perf_counter() - t0
+    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+    with _timed(timings, "load"):
+        template = _load_shape_checked(args.template)
+        target = _load_shape_checked(args.target)
+        corr = load_correspondences(args.corr, template.n_vertices,
+                                    target.n_vertices)
+        stack = load_transforms(args.transforms)
+    with _timed(timings, "solve"):
+        edges = np.empty((0, 2), dtype=np.int64)
+        sys_ = assemble_system(template, edges, corr, target.vertices)
+        payload = {}
+        for mode in ("per_axis_l1", "euclidean"):
+            fit = fit_residual_distributions(
+                residuals_for_analysis(stack, sys_, mode))
+            payload[mode] = {
+                "laplace": {"location": fit.laplace[0], "scale": fit.laplace[1],
+                            "loglik": fit.loglik_laplace},
+                "gauss": {"mean": fit.gauss[0], "std": fit.gauss[1],
+                          "loglik": fit.loglik_gauss},
+            }
+    with _timed(timings, "write"):
+        fit_path = os.path.join(args.out, "residual_fit.json")
+        _write_json(fit_path, payload)
     write_manifest(args.out, "fit-residuals",
                    {"template": args.template, "target": args.target,
                     "corr": args.corr, "transforms": args.transforms,
                     "out": args.out},
                    None, [args.template, args.target, args.corr,
                           args.transforms],
-                   None, [fit_path],
-                   {"load": t_load, "solve": t_solve, "write": t_write})
+                   None, [fit_path], timings)
     return 0
 
 
 def cmd_compare(args):
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    template = _load_shape_checked(args.template)
-    target = _load_shape_checked(args.target)
-    gt = _load_shape_checked(args.ground_truth)
-    corr = None
-    inputs = [args.template, args.target, args.ground_truth]
-    if args.corr:
-        corr = load_correspondences(args.corr, template.n_vertices, target.n_vertices)
-        inputs.append(args.corr)
-    if args.config:
-        inputs.append(args.config)
-    base_cfg = load_config(args.config, _config_overrides(args))
-    variants = args.variants.split(",")
-    sigmas = [float(s) for s in args.sigmas.split(",")] if args.sigmas else [0.0]
-    alphas = ([float(a) for a in args.alphas.split(",")] if args.alphas
-              else [base_cfg.alpha])
-    t_load = time.perf_counter() - t0
+    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+    with _timed(timings, "load"):
+        template = _load_shape_checked(args.template)
+        target = _load_shape_checked(args.target)
+        gt = _load_shape_checked(args.ground_truth)
+        corr = None
+        inputs = [args.template, args.target, args.ground_truth]
+        if args.corr:
+            corr = load_correspondences(args.corr, template.n_vertices,
+                                        target.n_vertices)
+            inputs.append(args.corr)
+        if args.config:
+            inputs.append(args.config)
+        base_cfg = load_config(args.config, _config_overrides(args))
+        variants = args.variants.split(",")
+        sigmas = ([float(s) for s in args.sigmas.split(",")] if args.sigmas
+                  else [0.0])
+        alphas = ([float(a) for a in args.alphas.split(",")] if args.alphas
+                  else [base_cfg.alpha])
 
-    t0 = time.perf_counter()
-    rows = []
-    for variant in variants:
-        for sigma in sigmas:
-            corrupted = (perturb_noise(target, sigma, args.seed)
-                         if sigma > 0 else target)
-            best = None
-            for alpha in alphas:
-                cfg = replace(base_cfg, variant=variant, alpha=alpha)
-                result = register(template, corrupted, corr, cfg)
-                err = fitting_error(result.transforms, template, gt.vertices)
-                entry = (err.summary()["mean_distance"], alpha)
-                if best is None or entry < best:
-                    best = entry
-            rows.append({"variant": variant, "sigma": sigma,
-                         "alpha": best[1], "mean_error": best[0]})
-    t_solve = time.perf_counter() - t0
+    with _timed(timings, "solve"):
+        rows = []
+        for variant in variants:
+            for sigma in sigmas:
+                corrupted = (perturb_noise(target, sigma, args.seed)
+                             if sigma > 0 else target)
+                best = None
+                for alpha in alphas:
+                    cfg = replace(base_cfg, variant=variant, alpha=alpha)
+                    try:
+                        result = register(template, corrupted, corr, cfg)
+                    except (SingularSystemError, RuntimeError, ValueError) as exc:
+                        raise CliError(f"{variant}, alpha={alpha}: {exc}")
+                    err = fitting_error(result.transforms, template, gt.vertices)
+                    entry = (err.summary()["mean_distance"], alpha)
+                    if best is None or entry < best:
+                        best = entry
+                rows.append({"variant": variant, "sigma": sigma,
+                             "alpha": best[1], "mean_error": best[0]})
 
-    t0 = time.perf_counter()
-    csv_path = os.path.join(args.out, "comparison.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "sigma", "alpha",
-                                                "mean_error"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
-                             for k, v in row.items()})
-    t_write = time.perf_counter() - t0
+    with _timed(timings, "write"):
+        csv_path = os.path.join(args.out, "comparison.csv")
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["variant", "sigma", "alpha",
+                                                    "mean_error"])
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: repr(v) if isinstance(v, float) else v
+                                 for k, v in row.items()})
     write_manifest(args.out, "compare",
                    {"template": args.template, "target": args.target,
                     "ground_truth": args.ground_truth, "corr": args.corr,
                     "config": args.config, "variants": args.variants,
                     "sigmas": args.sigmas, "alphas": args.alphas,
                     "seed": args.seed, "out": args.out},
-                   base_cfg, inputs, args.seed, [csv_path],
-                   {"load": t_load, "solve": t_solve, "write": t_write})
+                   base_cfg, inputs, args.seed, [csv_path], timings)
     return 0
 
 
 def cmd_synth(args):
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    strip = make_strip(args.nx, args.ny, args.spacing, args.relief)
-    pivot = (args.nx - 1) * args.spacing / 2.0
-    spec = DeformationSpec(kind=args.deform, angle_deg=args.angle,
-                           axis=(0.0, 1.0, 0.0), axis_point=(pivot, 0.0, 0.0),
-                           blend_direction=(1.0, 0.0, 0.0),
-                           band_start=pivot - args.band / 2.0,
-                           band_end=pivot + args.band / 2.0)
-    target, _, gt_stack = synth_deformation(strip, spec)
-    landmarks = landmark_subset(strip.n_vertices, args.landmark_fraction,
-                                args.seed)
-    t_solve = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    paths = {
-        "template": os.path.join(args.out, "template.ply"),
-        "target": os.path.join(args.out, "target.ply"),
-        "landmarks": os.path.join(args.out, "landmarks.txt"),
-        "gt_transforms": os.path.join(args.out, "gt_transforms.txt"),
-    }
-    save_shape(strip, paths["template"])
-    save_shape(target, paths["target"])
-    save_correspondences(landmarks, paths["landmarks"])
-    save_transforms(paths["gt_transforms"], gt_stack)
-    t_write = time.perf_counter() - t0
+    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+    with _timed(timings, "solve"):
+        strip = make_strip(args.nx, args.ny, args.spacing, args.relief)
+        pivot = (args.nx - 1) * args.spacing / 2.0
+        spec = DeformationSpec(kind=args.deform, angle_deg=args.angle,
+                               axis=(0.0, 1.0, 0.0), axis_point=(pivot, 0.0, 0.0),
+                               blend_direction=(1.0, 0.0, 0.0),
+                               band_start=pivot - args.band / 2.0,
+                               band_end=pivot + args.band / 2.0)
+        target, _, gt_stack = synth_deformation(strip, spec)
+        landmarks = landmark_subset(strip.n_vertices, args.landmark_fraction,
+                                    args.seed)
+    with _timed(timings, "write"):
+        paths = {
+            "template": os.path.join(args.out, "template.ply"),
+            "target": os.path.join(args.out, "target.ply"),
+            "landmarks": os.path.join(args.out, "landmarks.txt"),
+            "gt_transforms": os.path.join(args.out, "gt_transforms.txt"),
+        }
+        save_shape(strip, paths["template"])
+        save_shape(target, paths["target"])
+        save_correspondences(landmarks, paths["landmarks"])
+        save_transforms(paths["gt_transforms"], gt_stack)
     write_manifest(args.out, "synth",
                    {"nx": args.nx, "ny": args.ny, "spacing": args.spacing,
                     "relief": args.relief, "deform": args.deform,
                     "angle": args.angle, "band": args.band,
                     "landmark_fraction": args.landmark_fraction,
                     "seed": args.seed, "out": args.out},
-                   None, [], args.seed, sorted(paths.values()),
-                   {"load": 0.0, "solve": t_solve, "write": t_write})
+                   None, [], args.seed, sorted(paths.values()), timings)
     return 0
 
 

@@ -165,44 +165,40 @@ def block_shrink(rows, tau):
     return out.reshape(np.shape(rows))
 
 
-def procrustes_project(m, reflection_fix="kabsch"):
-    """Nearest rotation to a 3x3 matrix via SVD.
+def nearest_rotations(m):
+    """Nearest proper rotation to every matrix of an (N, 3, 3) stack.
 
-    ``kabsch`` flips the sign of the smallest singular direction when
-    det(U V^T) < 0 (Frobenius-nearest proper rotation); ``negate`` instead
-    negates the whole U V^T product when its determinant is negative.
-    Returns (R, unique) where unique is False when the optimum is ambiguous
-    (rank-deficient input or a reflection with degenerate spectrum).
+    One batched SVD; where det(U V^T) < 0 the smallest singular direction is
+    flipped (Kabsch), which gives the Frobenius-nearest proper rotation.
+    Returns (R, unique) where unique[i] is False when row i's optimum is
+    ambiguous (rank-deficient input or a reflection with degenerate spectrum).
     """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 3 or m.shape[1:] != (3, 3):
+        raise ValueError(f"expected an (N, 3, 3) stack, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrices must be finite")
+    u, s, vt = np.linalg.svd(m)
+    flip = np.linalg.det(u) * np.linalg.det(vt) < 0
+    u[flip, :, 2] *= -1.0
+    tol = 1e-12 * np.maximum(s[:, 0], 1.0)
+    # a flipped optimum is unique iff the two smallest singular values differ
+    unique = np.where(flip, s[:, 1] - s[:, 2] > tol, s[:, 2] > tol)
+    return u @ vt, unique
+
+
+def procrustes_project(m):
+    """Nearest rotation to one 3x3 matrix; returns (R, unique)."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix must be finite")
-    u, s, vt = np.linalg.svd(m)
-    d = np.linalg.det(u) * np.linalg.det(vt)
-    unique = s[2] > 1e-12 * max(s[0], 1.0)
-    if d >= 0:
-        r = u @ vt
-    elif reflection_fix == "kabsch":
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        # optimum unique iff the two smallest singular values differ
-        unique = (s[1] - s[2]) > 1e-12 * max(s[0], 1.0)
-    elif reflection_fix == "negate":
-        r = -(u @ vt)
-        unique = False
-    else:
-        raise ValueError(f"unknown reflection_fix {reflection_fix!r}")
-    return r, bool(unique)
+    r, unique = nearest_rotations(m[None])
+    return r[0], bool(unique[0])
 
 
-def project_rotations(X, reflection_fix="kabsch"):
+def project_rotations(X):
     """Nearest rotation per transform block: (N, 3, 3) array."""
-    lin = X.linear_parts()
-    out = np.empty_like(lin)
-    for i in range(X.n):
-        out[i], _ = procrustes_project(lin[i], reflection_fix)
-    return out
+    return nearest_rotations(X.linear_parts())[0]
 
 
 def build_S_terms(n):
@@ -267,28 +263,30 @@ def factorize_system(mu1, mu2, beta, sys):
         lu = splu(a, diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
+        bad = _suspect_blocks(a)
         raise SingularSystemError(
-            f"singular system: {exc}; suspect vertex blocks {_suspect_blocks(a)}",
-            vertex_blocks=_suspect_blocks(a)) from exc
+            f"singular system: {exc}; suspect vertex blocks {bad}",
+            vertex_blocks=bad) from exc
     # SuperLU can succeed numerically on structurally singular inputs; check.
     du = np.abs(lu.U.diagonal())
     if du.size == 0 or du.min() <= 1e-12 * max(du.max(), 1.0):
+        bad = _suspect_blocks(a)
         raise SingularSystemError(
-            f"singular system: zero pivot; suspect vertex blocks {_suspect_blocks(a)}",
-            vertex_blocks=_suspect_blocks(a))
+            f"singular system: zero pivot; suspect vertex blocks {bad}",
+            vertex_blocks=bad)
     return Factorization(lu, a.shape)
 
 
 def _suspect_blocks(a, tol=1e-10):
     """Vertex indices whose diagonal 4x4 block is rank deficient."""
-    dense_diag = a.diagonal()
     n = a.shape[0] // 4
-    bad = []
-    for i in range(n):
-        blk = a[4 * i:4 * i + 4, 4 * i:4 * i + 4].toarray()
-        if np.linalg.matrix_rank(blk, tol=tol * max(dense_diag.max(), 1.0)) < 4:
-            bad.append(i)
-    return bad
+    coo = a.tocoo()
+    keep = coo.row // 4 == coo.col // 4
+    blocks = np.zeros((n, 4, 4))
+    np.add.at(blocks, (coo.row[keep] // 4, coo.row[keep] % 4, coo.col[keep] % 4),
+              coo.data[keep])
+    ranks = np.linalg.matrix_rank(blocks, tol=tol * a.diagonal().max(initial=1.0))
+    return np.flatnonzero(ranks < 4).tolist()
 
 
 def solve_X(handle, rhs):

@@ -21,16 +21,24 @@ from .operators import (
     solve_X,
 )
 
-VARIANTS = ("dual_sparse", "l2", "snr", "group_sparse")
+# data-auxiliary update C = f(G1, Y1, mu1) of each inner-loop variant; "l2"
+# has no inner loop (solve_variant sends it to solve_l2_baseline)
+DATA_UPDATES = {
+    "dual_sparse": lambda G1, Y1, mu1: shrink(G1 - Y1 / mu1, 1.0 / mu1),
+    # quadratic data term: exact minimizer, no shrinkage
+    "snr": lambda G1, Y1, mu1: (mu1 * G1 - Y1) / (2.0 + mu1),
+    "group_sparse": lambda G1, Y1, mu1: block_shrink(G1 - Y1 / mu1, 1.0 / mu1),
+}
+VARIANTS = (*DATA_UPDATES, "l2")
 
 
 @dataclass
 class SolverConfig:
     """All tunables of the registration pipeline.
 
-    Defaults assume shapes normalized to unit bounding-box diagonal (the
-    driver normalizes internally), which makes the reweighting floors
-    ``eps_data`` / ``eps_smooth`` scale-meaningful.
+    ``register`` solves in a frame scaled to unit bounding-box diagonal, which
+    makes the reweighting floors ``eps_data`` / ``eps_smooth`` and the
+    tolerances scale-meaningful.
     """
 
     alpha: float = 1.0            # smoothness weight
@@ -48,12 +56,9 @@ class SolverConfig:
     reweight_start_tol: float = 2e-3  # displacement level that ends acquisition
     variant: str = "dual_sparse"
     reweight: bool = True
-    reflection_fix: str = "kabsch"
-    rng_seed: int = 0
     max_dist_factor: float = 3.0  # closest-point gate, multiples of target l_bar
     max_normal_angle: float = 60.0
     knn_k: int = 6
-    normalize: bool = True
 
     def validate(self):
         if self.rho1 <= 1 or self.rho2 <= 1:
@@ -68,8 +73,10 @@ class SolverConfig:
             raise ValueError("alpha and beta must be nonnegative")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.reflection_fix not in ("kabsch", "negate"):
-            raise ValueError(f"unknown reflection_fix {self.reflection_fix!r}")
+        if self.variant == "l2" and self.alpha == 0:
+            # each vertex block of V^T W^2 V has rank 1: only the smoothness
+            # term makes the l2 system nonsingular
+            raise ValueError("alpha must be > 0 for the l2 variant")
         return self
 
 
@@ -123,21 +130,16 @@ def admm_solve(sys, X_init, cfg):
     history = []
     converged = False
     wU = sys.w_data[:, None] * sys.U_f
+    data_update = DATA_UPDATES[cfg.variant]
     k = 0
     for k in range(1, cfg.inner_iters + 1):
         G1 = sys.data_residual(X)
         G2 = sys.smooth_residual(X)
-        if cfg.variant in ("dual_sparse", "l2"):
-            C = shrink(G1 - Y1 / mu1, 1.0 / mu1)
-        elif cfg.variant == "group_sparse":
-            C = block_shrink(G1 - Y1 / mu1, 1.0 / mu1)
-        elif cfg.variant == "snr":
-            # quadratic data term: exact minimizer, no shrinkage
-            C = (mu1 * G1 - Y1) / (2.0 + mu1)
+        C = data_update(G1, Y1, mu1)
         if ne:
             A = shrink(G2 - Y2 / mu2, cfg.alpha / mu2)
         if cfg.beta > 0:
-            R = project_rotations(X, cfg.reflection_fix)
+            R = project_rotations(X)
         # transform update: exact minimizer of the augmented Lagrangian in X;
         # the rotation penalty enters with coefficient 2*beta (gradient of the
         # squared Frobenius term)
@@ -188,7 +190,7 @@ def solve_l2_baseline(sys, alpha):
     with binary match weights; one symmetric factorized solve."""
     binary = replace(sys, w_data=(sys.w_data > 0).astype(float),
                      w_smooth=np.ones(sys.n_edges))
-    handle = factorize_system(1.0, alpha if alpha > 0 else 1e-300, 0.0, binary)
+    handle = factorize_system(1.0, alpha, 0.0, binary)
     rhs = binary.V.T @ (binary.w_data[:, None] * binary.U_f)
     return solve_X(handle, rhs)
 
@@ -255,10 +257,7 @@ def register(template, target, landmarks, cfg):
     if landmarks.n != template.n_vertices:
         raise ValueError("landmark map length does not match template")
 
-    if cfg.normalize:
-        center, scale = _normalizer(template, target)
-    else:
-        center, scale = np.zeros(3), 1.0
+    center, scale = _normalizer(template, target)
     tmpl_v = (template.vertices - center) / scale
     targ_v = (target.vertices - center) / scale
     edges = template.edges if len(template.edges) else \
@@ -314,7 +313,7 @@ def register(template, target, landmarks, cfg):
             converged = True
             break
 
-    X_out = _denormalize(X, center, scale) if cfg.normalize else X
+    X_out = _denormalize(X, center, scale)
     deformed_shape = Shape(vertices=X_out.apply(template.vertices),
                            faces=template.faces, edges=template.edges)
     return RegistrationResult(transforms=X_out, deformed=deformed_shape,

@@ -114,6 +114,14 @@ class TestRegisterCommand:
         assert manifest["config"]["alpha"] == 3.0       # flag wins
         assert manifest["config"]["outer_iters"] == 2   # file value kept
 
+    def test_l2_without_smoothness_rejected(self, instance, tmp_path, capsys):
+        code = run("register", "--template", str(instance / "template.ply"),
+                   "--target", str(instance / "template.ply"),
+                   "--variant", "l2", "--alpha", "0", "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "alpha" in err and "singular" not in err
+
     def test_unknown_config_key_rejected(self, instance, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alphas": 2.0}))
@@ -203,6 +211,50 @@ class TestCompareCommand:
         assert len(lines) == 1 + 6
         assert sum(ln.startswith("dual_sparse,") for ln in lines[1:]) == 3
         assert sum(ln.startswith("l2,") for ln in lines[1:]) == 3
+
+    def test_invalid_grid_point_exit_one(self, instance, tmp_path, capsys):
+        code = run("compare", "--template", str(instance / "template.ply"),
+                   "--target", str(instance / "target.ply"),
+                   "--ground-truth", str(instance / "target.ply"),
+                   "--variants", "l2", "--alphas", "1,0",
+                   "--out", str(tmp_path / "cmp"))
+        assert code == 1
+        assert "alpha" in capsys.readouterr().err
+
+
+def subcommand_argv(command, inst, out):
+    """Cheap arguments for each subcommand on the shared instance."""
+    t, g = str(inst / "template.ply"), str(inst / "target.ply")
+    lm, gt = str(inst / "landmarks.txt"), str(inst / "gt_transforms.txt")
+    return {
+        "register": ["--template", t, "--target", t, "--corr", lm],
+        "perturb": ["--input", g, "--kind", "noise"],
+        "evaluate": ["--template", t, "--ground-truth", g, "--transforms", gt],
+        "fit-residuals": ["--template", t, "--target", g, "--corr", lm,
+                          "--transforms", gt],
+        "compare": ["--template", t, "--target", g, "--ground-truth", g,
+                    "--corr", lm, "--variants", "l2", "--outer-iters", "1"],
+        "synth": ["--nx", "4", "--ny", "3"],
+    }[command] + ["--out", str(out)]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["register", "perturb", "evaluate",
+                                         "fit-residuals", "compare", "synth"])
+    def test_phase_timings_recorded(self, command, instance, tmp_path):
+        out = tmp_path / command
+        assert run(command, *subcommand_argv(command, instance, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"load", "solve", "write"}
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+    def test_register_records_no_seed(self, instance, tmp_path):
+        out = tmp_path / "reg"
+        assert run("register", *subcommand_argv("register", instance, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] is None
+        assert "rng_seed" not in manifest["config"]
 
 
 class TestReplay:

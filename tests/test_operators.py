@@ -24,7 +24,13 @@ from nrreg import (
     solve_X,
 )
 from nrreg.geometry import Shape, knn_edges
-from nrreg.operators import homogeneous, rotation_rhs, system_matrix
+from nrreg.operators import (
+    _suspect_blocks,
+    homogeneous,
+    nearest_rotations,
+    rotation_rhs,
+    system_matrix,
+)
 
 from conftest import random_cloud
 
@@ -256,16 +262,58 @@ class TestProcrustes:
         np.testing.assert_allclose(r, rot, atol=1e-9)
         assert unique
 
-    def test_negate_mode(self):
-        m = np.diag([1.0, 1.0, -1.0])
-        r, unique = procrustes_project(m, reflection_fix="negate")
-        np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
-        assert not unique
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             procrustes_project(np.full((3, 3), np.nan))
+
+
+class TestNearestRotations:
+    @staticmethod
+    def mixed_stack():
+        rng = np.random.default_rng(21)
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rot *= np.sign(np.linalg.det(rot))
+        return np.stack([
+            np.eye(3),
+            rot,                                   # proper rotation
+            np.diag([1.0, 1.0, -1.0]),             # reflection, tied spectrum
+            np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 2.0]),   # rank 1
+            rot @ np.diag([3.0, 0.5, 0.5]),        # two equal small values
+            -rot @ np.diag([3.0, 0.5, 0.5]),       # ... reflected: ambiguous
+            rng.standard_normal((3, 3)),
+            -rot @ np.diag([2.0, 1.0, 0.25]),      # reflection, distinct values
+        ])
+
+    def test_rows_match_quaternion_oracle(self):
+        stack = self.mixed_stack()
+        rots, _ = nearest_rotations(stack)
+        for i, (r, m) in enumerate(zip(rots, stack)):
+            np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
+            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
+            _, oracle_val = max_trace_rotation(m, seed=i)
+            assert np.trace(r.T @ m) >= oracle_val - 1e-6
+
+    def test_rows_match_one_matrix_loop(self):
+        # reference: the per-matrix Kabsch projection and its uniqueness rules
+        stack = self.mixed_stack()
+        rots, unique = nearest_rotations(stack)
+        for m, r, flag in zip(stack, rots, unique):
+            u, s, vt = np.linalg.svd(m)
+            tol = 1e-12 * max(s[0], 1.0)
+            if np.linalg.det(u) * np.linalg.det(vt) < 0:
+                ref, ref_flag = u @ np.diag([1.0, 1.0, -1.0]) @ vt, s[1] - s[2] > tol
+            else:
+                ref, ref_flag = u @ vt, s[2] > tol
+            np.testing.assert_array_equal(r, ref)
+            assert flag == ref_flag
+        assert unique.tolist() == [True, True, False, False, True, False, True,
+                                   True]
+
+    def test_nan_in_one_row_rejected(self):
+        stack = self.mixed_stack()
+        stack[3, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            nearest_rotations(stack)
 
 
 class TestFactorizeAndSolve:
@@ -301,6 +349,22 @@ class TestFactorizeAndSolve:
         with pytest.raises(SingularSystemError) as exc:
             factorize_system(1.0, 1.0, 0.0, sys_)
         assert {3, 4} <= set(exc.value.vertex_blocks)
+
+    def test_suspect_blocks_match_per_vertex_loop(self):
+        # full-rank diagonal blocks except 2 and 7, plus dense off-diagonal
+        # coupling that must not count towards any block's rank
+        rng = np.random.default_rng(8)
+        n = 10
+        dense = rng.standard_normal((4 * n, 4 * n))
+        for i in range(n):
+            g = rng.standard_normal((4, 2 if i in (2, 7) else 4))
+            dense[4 * i:4 * i + 4, 4 * i:4 * i + 4] = g @ g.T
+        a = sp.csc_matrix(dense)
+        tol = 1e-10 * max(a.diagonal().max(), 1.0)
+        ref = [i for i in range(n) if np.linalg.matrix_rank(
+            a[4 * i:4 * i + 4, 4 * i:4 * i + 4].toarray(), tol=tol) < 4]
+        assert ref == [2, 7]
+        assert _suspect_blocks(a) == ref
 
     def test_random_connected_matches_dense_oracle(self):
         for seed in range(5):

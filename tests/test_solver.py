@@ -62,7 +62,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"rho1": 1.0}, {"rho2": 0.5}, {"mu1_init": 0.0}, {"eps_data": 0.0},
         {"outer_iters": 0}, {"inner_iters": 0}, {"alpha": -1.0},
-        {"beta": -0.1}, {"variant": "unknown"}, {"reflection_fix": "other"},
+        {"beta": -0.1}, {"variant": "unknown"}, {"variant": "l2", "alpha": 0.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
