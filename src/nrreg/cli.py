@@ -17,23 +17,32 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .correspondence import CorrespondenceMap, load_correspondences, save_correspondences
-from .geometry import MeshParseError, Shape, load_shape, save_shape
+from .correspondence import load_correspondences, save_correspondences
+from .geometry import load_shape, save_shape
 from .metrics import fit_residual_distributions, fitting_error, residuals_for_analysis
-from .operators import SingularSystemError, TransformStack, assemble_system
+from .operators import TransformStack, assemble_system
 from .solver import VARIANTS, SolverConfig, register
 from .synthesis import (
+    CorruptionSpec,
     DeformationSpec,
+    apply_corruption,
     landmark_subset,
     make_strip,
     perturb_noise,
-    perturb_outliers,
     synth_deformation,
 )
 
 log = logging.getLogger("nrreg")
 
 TRANSFORM_HEADER = "nonrigid-transforms v1"
+
+# arguments whose values are input files; the manifest records their hashes
+INPUT_ARGS = ("template", "target", "corr", "ground_truth", "config", "input",
+              "transforms")
+# parsed attributes the manifest leaves out of its args: the dispatch fields,
+# and the solver flags, which its config snapshot already holds
+UNRECORDED_ARGS = frozenset({"command", "func",
+                             *(f.name for f in fields(SolverConfig))})
 
 
 class CliError(Exception):
@@ -139,15 +148,6 @@ def load_config(path, overrides):
         raise CliError(f"invalid configuration: {exc}")
 
 
-def _load_shape_checked(path):
-    if not os.path.exists(path):
-        raise CliError(f"no such file: {path}")
-    try:
-        return load_shape(path)
-    except MeshParseError as exc:
-        raise CliError(str(exc))
-
-
 def _config_overrides(args):
     names = [f.name for f in fields(SolverConfig)]
     return {n: getattr(args, n) for n in names if hasattr(args, n)}
@@ -173,42 +173,42 @@ def _ext_of(path):
     return ext if ext in (".obj", ".ply") else ".ply"
 
 
-def _error_report_payload(report):
+def _write_error_report(out_dir, report):
+    """Write the error summary and the error-colored mesh; returns both paths."""
     edges, counts = report.histogram
-    return {
+    report_path = os.path.join(out_dir, "error_report.json")
+    _write_json(report_path, {
         "mean": report.mean,
         "median": report.median,
         "max": report.max,
         "mean_distance": report.summary()["mean_distance"],
         "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
-    }
+    })
+    colored_path = os.path.join(out_dir, "error_colored.ply")
+    save_shape(report.colored_mesh, colored_path)
+    return [report_path, colored_path]
 
 
-def cmd_register(args):
-    os.makedirs(args.out, exist_ok=True)
-    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+# Each cmd_* runs the load/solve/write phases of one subcommand, timing them
+# into ``timings``, and returns (exit code, SolverConfig or None, output
+# paths); run_command does the rest.
+
+def cmd_register(args, timings):
     with _timed(timings, "load"):
-        template = _load_shape_checked(args.template)
-        target = _load_shape_checked(args.target)
-        corr = None
-        inputs = [args.template, args.target]
-        if args.corr:
-            corr = load_correspondences(args.corr, template.n_vertices,
-                                        target.n_vertices)
-            inputs.append(args.corr)
-        if args.config:
-            inputs.append(args.config)
+        template = load_shape(args.template)
+        target = load_shape(args.target)
+        corr = (load_correspondences(args.corr, template.n_vertices,
+                                     target.n_vertices) if args.corr else None)
         cfg = load_config(args.config, _config_overrides(args))
 
     with _timed(timings, "solve"):
         try:
             result = register(template, target, corr, cfg)
-        except (SingularSystemError, RuntimeError) as exc:
+        except RuntimeError as exc:
             raise CliError(f"solver failure: {exc}")
 
     with _timed(timings, "write"):
-        ext = _ext_of(args.template)
-        deformed_path = os.path.join(args.out, "deformed" + ext)
+        deformed_path = os.path.join(args.out, "deformed" + _ext_of(args.template))
         save_shape(result.deformed, deformed_path)
         transforms_path = os.path.join(args.out, "transforms.txt")
         save_transforms(transforms_path, result.transforms)
@@ -216,79 +216,45 @@ def cmd_register(args):
         _write_json(log_path, {"converged": result.converged, "outer": result.log})
         outputs = [deformed_path, transforms_path, log_path]
         if args.ground_truth:
-            gt = _load_shape_checked(args.ground_truth)
-            inputs.append(args.ground_truth)
-            report = fitting_error(result.transforms, template, gt.vertices)
-            report_path = os.path.join(args.out, "error_report.json")
-            _write_json(report_path, _error_report_payload(report))
-            colored_path = os.path.join(args.out, "error_colored.ply")
-            save_shape(report.colored_mesh, colored_path)
-            outputs += [report_path, colored_path]
-
-    write_manifest(args.out, "register",
-                   {"template": args.template, "target": args.target,
-                    "corr": args.corr, "ground_truth": args.ground_truth,
-                    "config": args.config, "out": args.out},
-                   cfg, inputs, None, outputs, timings)
+            gt = load_shape(args.ground_truth)
+            outputs += _write_error_report(
+                args.out, fitting_error(result.transforms, template, gt.vertices))
     log.info("register: converged=%s after %d outer iterations",
              result.converged, len(result.log))
-    return 0 if result.converged else 2
+    return (0 if result.converged else 2), cfg, outputs
 
 
-def cmd_perturb(args):
-    os.makedirs(args.out, exist_ok=True)
-    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+def cmd_perturb(args, timings):
     with _timed(timings, "load"):
-        shape = _load_shape_checked(args.input)
+        shape = load_shape(args.input)
     with _timed(timings, "solve"):
-        if args.kind == "noise":
-            out_shape = perturb_noise(shape, args.sigma, args.seed)
-            idx = np.array([], dtype=np.int64)
-        else:
-            out_shape, idx = perturb_outliers(shape, args.fraction, args.sigma,
-                                              args.seed)
+        spec = CorruptionSpec(args.kind, args.sigma, args.fraction, args.seed)
+        out_shape, idx = apply_corruption(shape, spec)
     with _timed(timings, "write"):
         out_path = os.path.join(args.out, "corrupted" + _ext_of(args.input))
         save_shape(out_shape, out_path)
         idx_path = os.path.join(args.out, "outliers.txt")
         with open(idx_path, "w") as fh:
             fh.write("\n".join(str(i) for i in idx) + ("\n" if len(idx) else ""))
-    write_manifest(args.out, "perturb",
-                   {"input": args.input, "kind": args.kind, "sigma": args.sigma,
-                    "fraction": args.fraction, "seed": args.seed,
-                    "out": args.out},
-                   None, [args.input], args.seed, [out_path, idx_path], timings)
-    return 0
+    return 0, None, [out_path, idx_path]
 
 
-def cmd_evaluate(args):
-    os.makedirs(args.out, exist_ok=True)
-    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+def cmd_evaluate(args, timings):
     with _timed(timings, "load"):
-        template = _load_shape_checked(args.template)
-        gt = _load_shape_checked(args.ground_truth)
+        template = load_shape(args.template)
+        gt = load_shape(args.ground_truth)
         stack = load_transforms(args.transforms)
     with _timed(timings, "solve"):
         report = fitting_error(stack, template, gt.vertices)
     with _timed(timings, "write"):
-        report_path = os.path.join(args.out, "error_report.json")
-        _write_json(report_path, _error_report_payload(report))
-        colored_path = os.path.join(args.out, "error_colored.ply")
-        save_shape(report.colored_mesh, colored_path)
-    write_manifest(args.out, "evaluate",
-                   {"template": args.template, "ground_truth": args.ground_truth,
-                    "transforms": args.transforms, "out": args.out},
-                   None, [args.template, args.ground_truth, args.transforms],
-                   None, [report_path, colored_path], timings)
-    return 0
+        outputs = _write_error_report(args.out, report)
+    return 0, None, outputs
 
 
-def cmd_fit_residuals(args):
-    os.makedirs(args.out, exist_ok=True)
-    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+def cmd_fit_residuals(args, timings):
     with _timed(timings, "load"):
-        template = _load_shape_checked(args.template)
-        target = _load_shape_checked(args.target)
+        template = load_shape(args.template)
+        target = load_shape(args.target)
         corr = load_correspondences(args.corr, template.n_vertices,
                                     target.n_vertices)
         stack = load_transforms(args.transforms)
@@ -308,31 +274,16 @@ def cmd_fit_residuals(args):
     with _timed(timings, "write"):
         fit_path = os.path.join(args.out, "residual_fit.json")
         _write_json(fit_path, payload)
-    write_manifest(args.out, "fit-residuals",
-                   {"template": args.template, "target": args.target,
-                    "corr": args.corr, "transforms": args.transforms,
-                    "out": args.out},
-                   None, [args.template, args.target, args.corr,
-                          args.transforms],
-                   None, [fit_path], timings)
-    return 0
+    return 0, None, [fit_path]
 
 
-def cmd_compare(args):
-    os.makedirs(args.out, exist_ok=True)
-    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+def cmd_compare(args, timings):
     with _timed(timings, "load"):
-        template = _load_shape_checked(args.template)
-        target = _load_shape_checked(args.target)
-        gt = _load_shape_checked(args.ground_truth)
-        corr = None
-        inputs = [args.template, args.target, args.ground_truth]
-        if args.corr:
-            corr = load_correspondences(args.corr, template.n_vertices,
-                                        target.n_vertices)
-            inputs.append(args.corr)
-        if args.config:
-            inputs.append(args.config)
+        template = load_shape(args.template)
+        target = load_shape(args.target)
+        gt = load_shape(args.ground_truth)
+        corr = (load_correspondences(args.corr, template.n_vertices,
+                                     target.n_vertices) if args.corr else None)
         base_cfg = load_config(args.config, _config_overrides(args))
         variants = args.variants.split(",")
         sigmas = ([float(s) for s in args.sigmas.split(",")] if args.sigmas
@@ -351,7 +302,7 @@ def cmd_compare(args):
                     cfg = replace(base_cfg, variant=variant, alpha=alpha)
                     try:
                         result = register(template, corrupted, corr, cfg)
-                    except (SingularSystemError, RuntimeError, ValueError) as exc:
+                    except (RuntimeError, ValueError) as exc:
                         raise CliError(f"{variant}, alpha={alpha}: {exc}")
                     err = fitting_error(result.transforms, template, gt.vertices)
                     entry = (err.summary()["mean_distance"], alpha)
@@ -369,19 +320,10 @@ def cmd_compare(args):
             for row in rows:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v
                                  for k, v in row.items()})
-    write_manifest(args.out, "compare",
-                   {"template": args.template, "target": args.target,
-                    "ground_truth": args.ground_truth, "corr": args.corr,
-                    "config": args.config, "variants": args.variants,
-                    "sigmas": args.sigmas, "alphas": args.alphas,
-                    "seed": args.seed, "out": args.out},
-                   base_cfg, inputs, args.seed, [csv_path], timings)
-    return 0
+    return 0, base_cfg, [csv_path]
 
 
-def cmd_synth(args):
-    os.makedirs(args.out, exist_ok=True)
-    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+def cmd_synth(args, timings):
     with _timed(timings, "solve"):
         strip = make_strip(args.nx, args.ny, args.spacing, args.relief)
         pivot = (args.nx - 1) * args.spacing / 2.0
@@ -404,45 +346,45 @@ def cmd_synth(args):
         save_shape(target, paths["target"])
         save_correspondences(landmarks, paths["landmarks"])
         save_transforms(paths["gt_transforms"], gt_stack)
-    write_manifest(args.out, "synth",
-                   {"nx": args.nx, "ny": args.ny, "spacing": args.spacing,
-                    "relief": args.relief, "deform": args.deform,
-                    "angle": args.angle, "band": args.band,
-                    "landmark_fraction": args.landmark_fraction,
-                    "seed": args.seed, "out": args.out},
-                   None, [], args.seed, sorted(paths.values()), timings)
-    return 0
+    return 0, None, list(paths.values())
+
+
+def run_command(args, config_snapshot=None):
+    """Run one parsed subcommand in its output directory and write its
+    manifest: the parsed non-config flags as ``args``, the hashes of the
+    given input files, the subcommand's seed (if it has one) and the phase
+    timings. A replayed run passes the recorded ``config_snapshot``, which
+    is written to ``args.config`` before the subcommand loads it."""
+    os.makedirs(args.out, exist_ok=True)
+    if config_snapshot:
+        _write_json(args.config, config_snapshot)
+    timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
+    code, config, outputs = args.func(args, timings)
+    recorded = {k: v for k, v in vars(args).items() if k not in UNRECORDED_ARGS}
+    inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
+              if path]
+    write_manifest(args.out, args.command, recorded, config, inputs,
+                   getattr(args, "seed", None), outputs, timings)
+    return code
 
 
 def cmd_replay(args):
     """Re-run the command recorded in a manifest, optionally into a fresh
-    output directory; numeric outputs are byte-identical to the original."""
+    output directory; numeric outputs are byte-identical to the original.
+    A recorded config snapshot is replayed from ``replay_config.json`` in the
+    replay's own output directory."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     recorded = dict(manifest["args"])
     if args.out:
         recorded["out"] = args.out
+    if manifest.get("config"):
+        recorded["config"] = os.path.join(recorded["out"], "replay_config.json")
     argv = [manifest["command"]]
     for key, value in recorded.items():
-        if value is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key == "reweight":
-            if value is False:
-                argv.append("--no-reweight")
-            continue
-        argv += [flag, str(value)]
-    # register/compare runs carry their full config; replay it exactly
-    if manifest.get("config"):
-        cfg_path = os.path.join(os.path.dirname(args.manifest) or ".",
-                                "replay_config.json")
-        _write_json(cfg_path, manifest["config"])
-        idx = argv.index("--config") if "--config" in argv else None
-        if idx is not None:
-            argv[idx + 1] = cfg_path
-        else:
-            argv += ["--config", cfg_path]
-    return main(argv)
+        if value is not None:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return run_command(build_parser().parse_args(argv), manifest.get("config"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -521,7 +463,6 @@ def build_parser():
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="override the recorded output directory")
-    p.set_defaults(func=cmd_replay)
     return parser
 
 
@@ -529,14 +470,14 @@ def main(argv=None):
     logging.basicConfig(
         level=os.environ.get("NRREG_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args = build_parser().parse_args(argv)
+        if args.command == "replay":
+            return cmd_replay(args)
+        return run_command(args)
+    except (CliError, OSError, ValueError) as exc:
+        # bad input, not a bug: one line for the user, the traceback at DEBUG
+        log.debug("traceback of the error below", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -264,6 +264,10 @@ def register(template, target, landmarks, cfg):
         build_edge_graph(template, cfg.knn_k)
     tmpl = replace(template, vertices=tmpl_v, edges=edges, normals=None)
     targ = _shape_with_optional_normals(targ_v, target.faces)
+    if not len(targ.edges) and np.isfinite(cfg.max_dist_factor):
+        # the refresh's distance gate needs the target's mean edge length;
+        # build a faceless target's kNN graph once, not per outer iteration
+        targ = replace(targ, edges=build_edge_graph(targ))
 
     X = TransformStack.identity(tmpl.n_vertices)
     log = []

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: artifacts, exit codes, manifests."""
 
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
-from nrreg import TransformStack, load_shape
+from nrreg import Shape, TransformStack, load_shape, save_shape
 from nrreg.cli import CliError, load_transforms, main, save_transforms
 
 
@@ -151,6 +152,12 @@ class TestPerturbCommand:
         lines = (out / "outliers.txt").read_text().split()
         assert len(lines) == int(np.floor(0.05 * n))
 
+    def test_negative_sigma_rejected(self, instance, tmp_path, capsys):
+        code = run("perturb", "--input", str(instance / "target.ply"),
+                   "--kind", "noise", "--sigma", "-1", "--out", str(tmp_path / "p"))
+        assert code == 1
+        assert "sigma must be nonnegative" in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, instance, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -222,6 +229,10 @@ class TestCompareCommand:
         assert "alpha" in capsys.readouterr().err
 
 
+SUBCOMMANDS = ["register", "perturb", "evaluate", "fit-residuals", "compare",
+               "synth"]
+
+
 def subcommand_argv(command, inst, out):
     """Cheap arguments for each subcommand on the shared instance."""
     t, g = str(inst / "template.ply"), str(inst / "target.ply")
@@ -239,8 +250,7 @@ def subcommand_argv(command, inst, out):
 
 
 class TestManifest:
-    @pytest.mark.parametrize("command", ["register", "perturb", "evaluate",
-                                         "fit-residuals", "compare", "synth"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_phase_timings_recorded(self, command, instance, tmp_path):
         out = tmp_path / command
         assert run(command, *subcommand_argv(command, instance, out)) == 0
@@ -281,6 +291,86 @@ class TestReplay:
                      "gt_transforms.txt"):
             assert (instance / name).read_bytes() == \
                 (replayed / name).read_bytes()
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_every_subcommand_replays(self, command, instance, tmp_path):
+        out = tmp_path / "run"
+        code = run(command, *subcommand_argv(command, instance, out))
+        listing = sorted(os.listdir(out))
+        replayed = tmp_path / "replayed"
+        assert run("replay", "--manifest", str(out / "manifest.json"),
+                   "--out", str(replayed)) == code
+        original = json.loads((out / "manifest.json").read_text())
+        again = json.loads((replayed / "manifest.json").read_text())
+        for path in original["outputs"]:
+            name = os.path.basename(path)
+            assert (out / name).read_bytes() == (replayed / name).read_bytes()
+        # a recorded config is replayed from a snapshot in the replay's own
+        # output directory; every other argument is replayed as recorded
+        assert again["args"].pop("out") == str(replayed)
+        if original["config"] is not None:
+            assert again["args"].pop("config") == \
+                str(replayed / "replay_config.json")
+            original["args"].pop("config")
+        original["args"].pop("out")
+        assert again["args"] == original["args"]
+        assert again["config"] == original["config"]
+        assert sorted(os.listdir(out)) == listing
+
+
+def error_case_argv(case, inst, tmp):
+    """Arguments for one bad-input run on the shared instance, writing any
+    malformed input file it needs into ``tmp``."""
+    t, g = str(inst / "template.ply"), str(inst / "target.ply")
+    gt, out = str(inst / "gt_transforms.txt"), str(tmp / "out")
+    if case == "duplicate-corr":
+        (tmp / "dup.txt").write_text("0 0\n0 1\n")
+        return ["register", "--template", t, "--target", g,
+                "--corr", str(tmp / "dup.txt"), "--out", out]
+    if case == "outlier-fraction":
+        return ["perturb", "--input", g, "--kind", "outliers",
+                "--fraction", "2", "--out", out]
+    if case == "zero-band":
+        return ["synth", "--nx", "4", "--ny", "3", "--band", "0", "--out", out]
+    if case == "non-numeric-sigmas":
+        return ["compare", "--template", t, "--target", g, "--ground-truth", g,
+                "--sigmas", "abc", "--out", out]
+    if case == "ground-truth-size":
+        save_shape(Shape(vertices=np.eye(3)), tmp / "small.ply")
+        return ["evaluate", "--template", t, "--ground-truth",
+                str(tmp / "small.ply"), "--transforms", gt, "--out", out]
+    if case == "few-matches":
+        (tmp / "two.txt").write_text("0 0\n1 1\n")
+        return ["fit-residuals", "--template", t, "--target", g,
+                "--corr", str(tmp / "two.txt"), "--transforms", gt, "--out", out]
+    raise AssertionError(case)
+
+
+# the cause each bad-input case must name on its error line
+ERROR_CAUSES = {
+    "duplicate-corr": "duplicate template index 0",
+    "outlier-fraction": "outlier_fraction must be in [0, 1]",
+    "zero-band": "band_end must exceed band_start",
+    "non-numeric-sigmas": "'abc'",
+    "ground-truth-size": "ground truth must be (96, 3)",
+    "few-matches": "need at least 10 samples",
+}
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("case", ERROR_CAUSES)
+    def test_bad_input_one_error_line(self, case, instance, tmp_path, capsys):
+        assert run(*error_case_argv(case, instance, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ERROR_CAUSES[case] in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_traceback_logged_at_debug(self, instance, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="nrreg")
+        assert run(*error_case_argv("zero-band", instance, tmp_path)) == 1
+        logged = [r for r in caplog.records if r.exc_info]
+        assert len(logged) == 1 and logged[0].levelno == logging.DEBUG
+        assert "band_end" in str(logged[0].exc_info[1])
 
 
 class TestUsageErrors:

@@ -235,6 +235,26 @@ class TestRegister:
         assert json.dumps(a.log, sort_keys=True) == \
             json.dumps(c.log, sort_keys=True)
 
+    def test_faceless_target_graph_built_once(self, bend_instance, monkeypatch):
+        import nrreg.correspondence
+        import nrreg.solver
+        calls = []
+
+        def counting(shape, *args):
+            calls.append(shape.n_vertices)
+            return build_edge_graph(shape, *args)
+
+        for module in (nrreg.solver, nrreg.correspondence):
+            monkeypatch.setattr(module, "build_edge_graph", counting)
+        b = bend_instance
+        res = register(Shape(vertices=b["template"].vertices),
+                       Shape(vertices=b["target"].vertices), b["landmarks"],
+                       replace(b["cfg"], outer_iters=3))
+        assert len(res.log) == 3
+        # one kNN graph for the template and one for the target, however
+        # many closest-point refreshes run
+        assert len(calls) == 2
+
     def test_transforms_in_original_frame(self, bend_run, bend_instance):
         b = bend_instance
         moved = bend_run.transforms.apply(b["template"].vertices)
