@@ -375,6 +375,10 @@ def cmd_replay(args):
     replay's own output directory."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("command"), str)
+            and isinstance(manifest.get("args"), dict)):
+        raise CliError(f"{args.manifest}: not a run manifest "
+                       "(needs a 'command' string and an 'args' object)")
     recorded = dict(manifest["args"])
     if args.out:
         recorded["out"] = args.out

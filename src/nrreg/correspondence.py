@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import build_edge_graph, mean_edge_length
+from .geometry import build_edge_graph, mean_edge_length, nearest_neighbors
 
 
 @dataclass(frozen=True)
@@ -90,29 +90,23 @@ def save_correspondences(corr, path):
             fh.write(f"{i} {corr.mapping[i] - 1}\n")
 
 
-def closest_point_refresh(deformed, target, max_dist=3.0, max_normal_angle=60.0,
-                          chunk=512):
+def closest_point_refresh(deformed, target, max_dist=3.0, max_normal_angle=60.0):
     """ICP-style closest-point correspondences with distance and normal gates.
 
     ``max_dist`` is a multiple of the target mean edge length; matches beyond
     it are rejected, as are matches whose normals disagree by more than
     ``max_normal_angle`` degrees (skipped if either shape lacks normals).
-    Exhaustive search; ties go to the lowest target index.
+    Exact kd-tree search (``geometry.nearest_neighbors``); ties go to the
+    lowest target index.
     """
     if target.n_vertices == 0:
         raise ValueError("target is empty")
     if max_dist <= 0 or max_normal_angle <= 0:
         raise ValueError("thresholds must be positive")
-    tv = target.vertices
     n = deformed.n_vertices
-    nearest = np.empty(n, dtype=np.int64)
-    dists = np.empty(n)
-    for s in range(0, n, chunk):
-        block = deformed.vertices[s:s + chunk]
-        d2 = np.sum((block[:, None, :] - tv[None, :, :]) ** 2, axis=2)
-        idx = np.argmin(d2, axis=1)  # first occurrence wins ties
-        nearest[s:s + len(block)] = idx
-        dists[s:s + len(block)] = np.sqrt(d2[np.arange(len(block)), idx])
+    nearest, d2 = nearest_neighbors(target.vertices, 1, deformed.vertices)
+    nearest = nearest[:, 0]
+    dists = np.sqrt(d2[:, 0])
 
     accept = np.ones(n, dtype=bool)
     if np.isfinite(max_dist):

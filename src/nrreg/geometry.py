@@ -8,6 +8,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 DEFAULT_KNN = 6
+# nearest_neighbors: kd-tree candidates per query beyond k (and the query
+# point itself), the relative margin within which a distance counts as a
+# possible tie, and the (queries x points) size of one exhaustive chunk
+_TIE_PAD = 4
+_TIE_RTOL = 1e-9
+_EXHAUSTIVE_BLOCK = 1 << 18
 
 
 class MeshParseError(ValueError):
@@ -39,6 +45,11 @@ class Shape:
             raise ValueError(f"vertices must be (N, 3), got {v.shape}")
         if v.shape[0] == 0:
             raise ValueError("shape has no vertices")
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if bad.size:
+            shown = ", ".join(map(str, bad[:5])) + (", ..." if bad.size > 5 else "")
+            raise ValueError(f"non-finite coordinates in {bad.size} of {len(v)} "
+                             f"vertices (indices {shown})")
         object.__setattr__(self, "vertices", v)
         f = self.faces
         if f is not None:
@@ -87,19 +98,63 @@ def edges_from_faces(faces):
     return both[order]
 
 
+def _rank_candidates(points, queries, cand, k, self_rows):
+    """The k best of each row's candidate indices by (squared distance,
+    index), with the distances as ``np.sum((q - p) ** 2)``; a candidate equal
+    to its row's entry in ``self_rows`` is excluded."""
+    d2 = np.sum((queries[:, None, :] - points[cand]) ** 2, axis=2)
+    if self_rows is not None:
+        d2[cand == self_rows[:, None]] = np.inf
+    order = np.lexsort((cand, d2), axis=1)[:, :k]
+    return (np.take_along_axis(cand, order, axis=1),
+            np.take_along_axis(d2, order, axis=1))
+
+
+def nearest_neighbors(points, k, queries=None):
+    """Indices and squared distances of the k nearest points to each query.
+
+    Without ``queries`` every point queries the others, itself excluded.
+    Returns (Q, k) arrays sorted by (squared distance, index), identical to
+    an exhaustive search: a kd-tree proposes a few extra candidates per
+    query, their distances are recomputed exactly, and a query whose last
+    candidate ties its k-th neighbor to within rounding (so a tie may lie
+    beyond the candidates) is searched exhaustively, in bounded chunks.
+    """
+    from scipy.spatial import cKDTree
+
+    points = np.asarray(points, dtype=np.float64)
+    self_query = queries is None
+    queries = points if self_query else np.asarray(queries, dtype=np.float64)
+    n, q = len(points), len(queries)
+    self_rows = np.arange(q) if self_query else None
+    width = min(n, k + self_query + _TIE_PAD)
+    dist, cand = cKDTree(points).query(queries, width)
+    cand = cand.reshape(q, width)
+    idx, d2 = _rank_candidates(points, queries, cand, k, self_rows)
+    if width < n:
+        last = dist.reshape(q, width)[:, -1] ** 2
+        rows = np.flatnonzero(last <= d2[:, -1] * (1 + _TIE_RTOL))
+        step = max(1, _EXHAUSTIVE_BLOCK // n)
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step]
+            everything = np.broadcast_to(np.arange(n), (len(r), n))
+            idx[r], d2[r] = _rank_candidates(
+                points, queries[r], everything, k,
+                None if self_rows is None else self_rows[r])
+    return idx, d2
+
+
 def knn_edges(vertices, k):
     """Directed edges (i, j) to the k nearest neighbors of each vertex.
 
-    Exact brute-force search; ties broken by lowest index (stable sort), so
-    output is deterministic. Self-edges excluded.
+    Exact kd-tree search (see ``nearest_neighbors``); ties broken by lowest
+    index, so output is deterministic. Self-edges excluded.
     """
     v = np.asarray(vertices, dtype=np.float64)
     n = len(v)
     if k < 1 or k >= n:
         raise ValueError(f"k must be in [1, N-1], got k={k} for N={n}")
-    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    nbrs, _ = nearest_neighbors(v, k)
     src = np.repeat(np.arange(n), k)
     return np.column_stack([src, nbrs.reshape(-1)])
 

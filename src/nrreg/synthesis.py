@@ -168,6 +168,8 @@ def make_strip(nx=20, ny=4, spacing=0.1, relief=0.0):
     are oriented so every corner vertex has three neighbors (a two-neighbor
     corner makes per-vertex affine systems structurally singular).
     """
+    if nx < 2 or ny < 2:
+        raise ValueError(f"a strip needs nx >= 2 and ny >= 2, got nx={nx}, ny={ny}")
     xs = np.arange(nx) * spacing
     ys = np.arange(ny) * spacing
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -205,6 +207,8 @@ def landmark_subset(n, fraction=0.1, seed=0):
     """Uniformly sampled identity landmarks i -> i covering the given
     fraction of template vertices."""
     from .correspondence import CorrespondenceMap
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"landmark fraction must be in (0, 1], got {fraction}")
     count = max(1, int(round(fraction * n)))
     idx = np.sort(rng_from_seed(seed).permutation(n)[:count])
     mapping = np.zeros(n, dtype=np.int64)

@@ -27,6 +27,36 @@ def random_cloud(n, seed, scale=1.0):
     return rng.uniform(-scale, scale, size=(n, 3))
 
 
+def brute_force_knn(vertices, k):
+    """Reference k-NN edges: all-pairs distances, self excluded, ties to the
+    lowest index (stable sort)."""
+    v = np.asarray(vertices, dtype=np.float64)
+    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.column_stack([np.repeat(np.arange(len(v)), k), nbrs.reshape(-1)])
+
+
+def brute_force_closest(queries, points):
+    """Reference closest points: (index, distance) per query over all points,
+    ties to the lowest index (first occurrence of the minimum)."""
+    d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    idx = np.argmin(d2, axis=1)
+    return idx, np.sqrt(d2[np.arange(len(queries)), idx])
+
+
+def tie_rich_clouds():
+    """Point sets whose neighbor distances tie exactly: a flat grid, a cubic
+    grid, repeated points, and coordinates rounded to a coarse lattice."""
+    cube = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1)
+    return {
+        "flat-grid": make_strip(30, 8).vertices,
+        "cubic-grid": cube.reshape(-1, 3),
+        "duplicates": np.repeat(random_cloud(40, seed=5), 3, axis=0),
+        "coarse-lattice": np.round(random_cloud(300, seed=6), 1),
+    }
+
+
 @pytest.fixture(scope="session")
 def bend_instance():
     """The strip-bend benchmark used across solver and acceptance tests."""

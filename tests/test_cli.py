@@ -343,6 +343,21 @@ def error_case_argv(case, inst, tmp):
         (tmp / "two.txt").write_text("0 0\n1 1\n")
         return ["fit-residuals", "--template", t, "--target", g,
                 "--corr", str(tmp / "two.txt"), "--transforms", gt, "--out", out]
+    if case == "nan-vertex":
+        (tmp / "nan.ply").write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n"
+            "0 0 0\n1 nan 0\n0 1 0\n")
+        return ["register", "--template", str(tmp / "nan.ply"), "--target", g,
+                "--out", out]
+    if case == "one-vertex-strip":
+        return ["synth", "--nx", "1", "--ny", "1", "--out", out]
+    if case == "landmark-fraction":
+        return ["synth", "--nx", "4", "--ny", "3", "--landmark-fraction", "2",
+                "--out", out]
+    if case == "replay-no-args":
+        (tmp / "manifest.json").write_text(json.dumps({"command": "register"}))
+        return ["replay", "--manifest", str(tmp / "manifest.json")]
     raise AssertionError(case)
 
 
@@ -354,6 +369,10 @@ ERROR_CAUSES = {
     "non-numeric-sigmas": "'abc'",
     "ground-truth-size": "ground truth must be (96, 3)",
     "few-matches": "need at least 10 samples",
+    "nan-vertex": "non-finite coordinates in 1 of 3 vertices (indices 1)",
+    "one-vertex-strip": "a strip needs nx >= 2 and ny >= 2",
+    "landmark-fraction": "landmark fraction must be in (0, 1]",
+    "replay-no-args": "not a run manifest",
 }
 
 

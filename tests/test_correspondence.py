@@ -9,7 +9,7 @@ from nrreg import CorrespondenceMap, closest_point_refresh, load_correspondences
 from nrreg.correspondence import save_correspondences
 from nrreg.geometry import Shape
 
-from conftest import random_cloud
+from conftest import brute_force_closest, random_cloud, tie_rich_clouds
 
 
 class TestLoadCorrespondences:
@@ -69,6 +69,14 @@ class TestClosestPointRefresh:
                                      max_dist=np.inf)
         d2 = np.sum((dv[:, None] - tv[None, :]) ** 2, axis=2)
         assert np.array_equal(corr.target_indices, np.argmin(d2, axis=1))
+
+    @pytest.mark.parametrize("name", sorted(tie_rich_clouds()))
+    def test_tie_rich_matches_brute_force_oracle(self, name):
+        tv = tie_rich_clouds()[name]
+        for dv in (tv, tv + 0.5, tv[::-1] + 0.25):
+            corr = closest_point_refresh(Shape(vertices=dv), Shape(vertices=tv),
+                                         max_dist=np.inf)
+            assert np.array_equal(corr.target_indices, brute_force_closest(dv, tv)[0])
 
     def test_empty_thresholds_validation(self):
         shape = Shape(vertices=random_cloud(3, seed=0))

@@ -11,10 +11,16 @@ from nrreg.geometry import (
     compute_vertex_normals,
     edges_from_faces,
     knn_edges,
+    nearest_neighbors,
     unique_undirected,
 )
 
-from conftest import random_cloud
+from conftest import brute_force_closest, brute_force_knn, random_cloud, tie_rich_clouds
+
+# six targets equidistant from the origin: the kd-tree's candidate list for
+# the origin ends on a tie, so the query is resolved exhaustively
+OCTAHEDRON = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                       [0, 0, 1], [0, 0, -1]])
 
 
 class TestLoadShape:
@@ -121,6 +127,79 @@ class TestBuildEdgeGraph:
         assert tuple(edges[1]) == (1, 0)
 
 
+class TestNearestNeighbors:
+    """The kd-tree search against the exhaustive oracle, ties included."""
+
+    @pytest.mark.parametrize("name", sorted(tie_rich_clouds()))
+    @pytest.mark.parametrize("k", [1, 4, 6, 10])
+    def test_knn_tie_rich_matches_oracle(self, name, k):
+        verts = tie_rich_clouds()[name]
+        assert np.array_equal(knn_edges(verts, k), brute_force_knn(verts, k))
+
+    @pytest.mark.parametrize("name", sorted(tie_rich_clouds()))
+    def test_closest_tie_rich_matches_oracle(self, name):
+        points = tie_rich_clouds()[name]
+        rng = np.random.default_rng(3)
+        # the points themselves, points between lattice sites, and noise
+        for queries in (points, points + 0.5, points + rng.normal(0, 0.3, points.shape)):
+            idx, d2 = nearest_neighbors(points, 1, queries)
+            want_idx, want_dist = brute_force_closest(queries, points)
+            assert np.array_equal(idx[:, 0], want_idx)
+            assert np.array_equal(np.sqrt(d2[:, 0]), want_dist)
+
+    def test_equidistant_targets_searched_exhaustively(self, monkeypatch):
+        import nrreg.geometry as geometry
+        widths, rank = [], geometry._rank_candidates
+
+        def counting_rank(points, queries, cand, k, self_rows):
+            widths.append(cand.shape[1])
+            return rank(points, queries, cand, k, self_rows)
+
+        monkeypatch.setattr(geometry, "_rank_candidates", counting_rank)
+        far = random_cloud(30, seed=8) + 10.0
+        points = np.concatenate([far[:20], OCTAHEDRON[::-1], far[20:]])
+        idx, d2 = nearest_neighbors(points, 1, np.zeros((1, 3)))
+        assert idx.tolist() == [[20]] and d2.tolist() == [[1.0]]
+        assert widths[-1] == len(points)  # the fallback ranked every point
+        verts = np.concatenate([points, np.zeros((1, 3))])
+        edges = knn_edges(verts, 2)
+        assert edges[-2:, 1].tolist() == [20, 21]
+        assert np.array_equal(edges, brute_force_knn(verts, 2))
+
+    @given(st.integers(0, 2**31), st.integers(2, 120), st.integers(1, 8),
+           st.sampled_from([None, 1, 0]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_clouds_match_oracle(self, seed, n, k, decimals):
+        # rounding to a coarse lattice makes exact ties and duplicates common
+        verts = random_cloud(n, seed)
+        queries = random_cloud(n, seed + 1, scale=1.5)
+        if decimals is not None:
+            verts, queries = np.round(verts, decimals), np.round(queries, decimals)
+        k = min(k, n - 1)
+        assert np.array_equal(knn_edges(verts, k), brute_force_knn(verts, k))
+        idx, d2 = nearest_neighbors(verts, 1, queries)
+        want_idx, want_dist = brute_force_closest(queries, verts)
+        assert np.array_equal(idx[:, 0], want_idx)
+        assert np.array_equal(np.sqrt(d2[:, 0]), want_dist)
+
+    def test_memory_stays_linear_at_20k(self):
+        # all-pairs distances at this size would take 20000**2 * 24 B = 9.6 GB
+        import tracemalloc
+        from nrreg import closest_point_refresh
+        n = 20_000
+        template = Shape(vertices=random_cloud(n, seed=1))
+        target = Shape(vertices=random_cloud(n, seed=2))
+        tracemalloc.start()
+        try:
+            edges = knn_edges(template.vertices, 6)
+            corr = closest_point_refresh(template, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges.shape == (6 * n, 2) and corr.n == n
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestMeanEdgeLength:
     def test_unit_equilateral_triangle(self):
         verts = np.array([[0.0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]])
@@ -218,6 +297,14 @@ class TestShapeInvariants:
         edges = edges_from_faces(np.array([[0, 1, 2], [1, 2, 3]]))
         und = unique_undirected(edges)
         assert len(edges) == 2 * len(und) == 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertices_named(self, bad):
+        verts = np.zeros((9, 3))
+        verts[[2, 7], 1] = bad
+        with pytest.raises(ValueError,
+                           match=r"non-finite coordinates in 2 of 9 vertices \(indices 2, 7\)"):
+            Shape(vertices=verts)
 
     def test_arrays_read_only(self, square_shape):
         with pytest.raises(ValueError):

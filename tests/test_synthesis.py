@@ -179,6 +179,22 @@ class TestHelpers:
         m = a.matched
         assert np.array_equal(a.target_indices[m], np.flatnonzero(m))
 
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (4, 1), (1, 1), (0, 3)])
+    def test_strip_needs_two_rows_each_way(self, nx, ny):
+        with pytest.raises(ValueError, match="nx >= 2 and ny >= 2"):
+            make_strip(nx, ny)
+
+    def test_smallest_strip_is_one_quad(self):
+        assert make_strip(2, 2).faces.shape == (2, 3)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, 2.0, np.nan])
+    def test_landmark_fraction_out_of_range(self, fraction):
+        with pytest.raises(ValueError, match=r"landmark fraction must be in \(0, 1\]"):
+            landmark_subset(12, fraction)
+
+    def test_landmark_fraction_one_takes_every_vertex(self):
+        assert landmark_subset(12, 1.0).n_matched() == 12
+
     def test_counter_based_generator_reproducible(self):
         x = rng_from_seed(123).standard_normal(8)
         y = rng_from_seed(123).standard_normal(8)
