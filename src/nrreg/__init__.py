@@ -26,6 +26,7 @@ from .metrics import (
 from .operators import (
     SingularSystemError,
     SystemMatrices,
+    SystemStructure,
     TransformStack,
     assemble_B,
     assemble_V,

@@ -167,8 +167,16 @@ def build_edge_graph(shape, k=DEFAULT_KNN):
 
 
 def unique_undirected(edges):
+    """Distinct undirected edges as (min, max) rows in lexicographic order."""
     e = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
-    return np.unique(e, axis=0)
+    if not len(e):
+        return e
+    # one int64 key per row orders rows lexicographically; np.unique on the
+    # keys is far cheaper than np.unique(axis=0) on the rows
+    lo = e.min()
+    _, first = np.unique((e[:, 0] - lo) * (e.max() - lo + 1) + (e[:, 1] - lo),
+                         return_index=True)
+    return e[first]
 
 
 def mean_edge_length(shape):

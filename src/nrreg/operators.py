@@ -5,6 +5,7 @@ factorized symmetric linear solve for the per-vertex affine transforms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,17 +73,121 @@ class TransformStack:
         return TransformStack(self.blocks.copy())
 
 
+# component c = 4a + b of a 4x4 block is its entry (a, b); _TRANSPOSED[c] is
+# the component of entry (b, a), and _S_COMPONENTS those of S's diagonal ones
+_TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(-1)
+_S_COMPONENTS = [0, 5, 10]
+
+
+class SystemStructure:
+    """What the template alone fixes, built once per registration: V, B and
+    the CSC pattern of mu1 K_D + mu2 K_S + beta S at 4x4-block level (one
+    diagonal block per vertex, the (i, j) and (j, i) blocks of every edge).
+
+    Block values are (16, n_blocks) arrays, component 4a + b holding entry
+    (a, b), vertex diagonals first; ``perm`` puts them in CSC order and
+    ``diag_slots`` gives the (16, N) CSC slots of the diagonals. Block
+    ``block_T[k]`` is block k's transpose. ``edge_blocks`` lists the (i, i),
+    (j, j), (i, j), (j, i) blocks of each edge (i, j) in ``edge_rows``, the
+    rows of B with i != j (a self-loop's row of B is zero). Every system
+    matrix shares the read-only ``indptr`` and ``indices``.
+    """
+
+    def __init__(self, vertices, edges):
+        self.vh = homogeneous(vertices)
+        n = self.n = len(self.vh)
+        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.V = assemble_V(vertices)
+        self.B = assemble_B(vertices, self.edges)
+        self.edge_rows = np.flatnonzero(self.edges[:, 0] != self.edges[:, 1])
+        e = self.edges[self.edge_rows]
+        m = len(e)
+        keys, inv = np.unique(np.concatenate([e[:, 0] * n + e[:, 1],
+                                              e[:, 1] * n + e[:, 0]]),
+                              return_inverse=True)
+        self.edge_blocks = np.column_stack(
+            [e[:, 0], e[:, 1], n + inv[:m], n + inv[m:]]).astype(np.int32).reshape(-1)
+        row = np.concatenate([np.arange(n), keys // n])
+        col = np.concatenate([np.arange(n), keys % n])
+        nb = self.n_blocks = len(row)
+        self.block_T = np.concatenate(
+            [np.arange(n), n + np.searchsorted(keys, col[n:] * n + row[n:])])
+        # CSC order: scalar column 4J + b holds rows 4r..4r+3 of each block
+        # (r, J) of block column J, in block-row order
+        order = np.lexsort((row, col))
+        count = np.bincount(col, minlength=n)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.repeat(4 * count, 4))]).astype(np.int32)
+        pos = np.empty(nb, np.int64)
+        pos[order] = np.arange(nb) - (np.cumsum(count) - count)[col[order]]
+        a, b = np.arange(16)[:, None] // 4, np.arange(16)[:, None] % 4
+        slot = self.indptr[4 * col] + b * 4 * count[col] + 4 * pos + a
+        self.indices = np.empty(self.indptr[-1], np.int32)
+        self.indices[slot] = 4 * row + a
+        self.perm = np.empty(self.indptr[-1], np.int32)
+        self.perm[slot] = np.arange(16 * nb).reshape(16, nb)
+        self.diag_slots = slot[:, :n].copy()
+        for arr in (self.indptr, self.indices):
+            arr.setflags(write=False)
+
+
+def normal_blocks(structure, w_data, w_smooth):
+    """K_D = (W_D V)^T (W_D V) and K_S = (W_S B)^T (W_S B) per block
+    component: (16, N) for K_D, whose only blocks are the vertex diagonals,
+    and (16, n_blocks) for K_S.
+
+    Each entry is formed as a sparse product forms it: products of weighted
+    entries, summed over edges in edge order (``np.bincount`` adds in input
+    order), so the values are bit for bit those of the products.
+    """
+    st = structure
+    wv = w_data * st.vh.T                                   # (4, N)
+    kd = (wv[:, None] * wv[None, :]).reshape(16, st.n)
+    rows = st.edge_rows
+    ws = w_smooth[rows] * st.vh[st.edges[rows, 0]].T        # (4, E)
+    p = (ws[:, None] * ws[None, :]).reshape(16, len(rows))
+    ks = np.empty((16, st.n_blocks))
+    for c in range(16):
+        ks[c] = np.bincount(st.edge_blocks, np.repeat(p[c], 4),
+                            minlength=st.n_blocks)
+    ks[:, st.n:] *= -1.0          # B holds -v_i in block j
+    return kd, ks
+
+
+def _assert_symmetric(values, block_T):
+    """``values`` (16, K) per block component; block_T[k] holds the
+    transpose of block k."""
+    asym = max(np.abs(values[c] - values[_TRANSPOSED[c], block_T]).max(initial=0.0)
+               for c in range(16))
+    scale = max(values.max(initial=0.0), -values.min(initial=0.0), 1.0)
+    if asym > 1e-12 * scale:
+        raise AssertionError(f"system matrix not symmetric (max asymmetry {asym})")
+
+
 @dataclass
 class SystemMatrices:
-    """Per-outer-iteration sparse system: data map V, smoothness map B,
-    matched target positions, and the current diagonal weights."""
+    """Per-outer-iteration sparse system: the registration's fixed structure
+    (V, B, edges, matrix pattern), matched target positions, and the current
+    diagonal weights."""
 
-    V: sp.csr_matrix          # (N, 4N)
-    B: sp.csr_matrix          # (E, 4N)
+    structure: SystemStructure
     U_f: np.ndarray           # (N, 3), zero rows where unmatched
     w_data: np.ndarray        # (N,) diagonal of W_D
     w_smooth: np.ndarray      # (E,) diagonal of W_S
-    edges: np.ndarray         # (E, 2), row r of B belongs to edges[r]
+
+    @property
+    def V(self):
+        """(N, 4N) data map."""
+        return self.structure.V
+
+    @property
+    def B(self):
+        """(E, 4N) smoothness map; row r belongs to edges[r]."""
+        return self.structure.B
+
+    @property
+    def edges(self):
+        return self.structure.edges
 
     @property
     def n(self):
@@ -91,6 +196,17 @@ class SystemMatrices:
     @property
     def n_edges(self):
         return self.B.shape[0]
+
+    @cached_property
+    def normal_terms(self):
+        """(K_D, K_S) for these weights, built and checked for symmetry once
+        per instance: K_D per component of the vertex diagonal blocks (see
+        ``normal_blocks``), K_S on the CSC slots; ``replace`` makes a new
+        instance, so new weights never meet old values."""
+        kd, ks = normal_blocks(self.structure, self.w_data, self.w_smooth)
+        _assert_symmetric(kd, self.structure.block_T[:self.n])
+        _assert_symmetric(ks, self.structure.block_T)
+        return kd, ks.reshape(-1).take(self.structure.perm)
 
     def data_residual(self, X):
         """W_D (V X - U_f) as an (N, 3) dense matrix."""
@@ -127,23 +243,25 @@ def assemble_B(vertices, edges):
     return sp.csr_matrix((vals, (rows, cols)), shape=(ne, 4 * n))
 
 
-def assemble_system(template, edges, corr, target_vertices, w_data=None, w_smooth=None):
+def assemble_system(template, edges, corr, target_vertices, w_data=None,
+                    w_smooth=None, structure=None):
     """Build SystemMatrices for one outer iteration.
 
     Unmatched vertices get zero target rows and zero data weight regardless of
     ``w_data``. Default weights are the binary match indicator / all-ones.
+    ``structure`` is ``SystemStructure(template.vertices, edges)``, built here
+    unless the caller reuses one across outer iterations.
     """
     n = template.n_vertices
-    V = assemble_V(template.vertices)
-    B = assemble_B(template.vertices, edges)
+    if structure is None:
+        structure = SystemStructure(template.vertices, edges)
     U_f = np.zeros((n, 3))
     m = corr.matched
     U_f[m] = np.asarray(target_vertices)[corr.target_indices[m]]
     wd = corr.weights if w_data is None else np.asarray(w_data, dtype=np.float64) * m
     ws = (np.ones(len(edges)) if w_smooth is None
           else np.asarray(w_smooth, dtype=np.float64))
-    return SystemMatrices(V=V, B=B, U_f=U_f, w_data=wd, w_smooth=ws,
-                          edges=np.asarray(edges, dtype=np.int64))
+    return SystemMatrices(structure=structure, U_f=U_f, w_data=wd, w_smooth=ws)
 
 
 def shrink(x, tau):
@@ -222,13 +340,25 @@ def rotation_rhs(rotations):
 
 
 def system_matrix(mu1, mu2, beta, sys):
-    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i, sparse CSC."""
-    WV = sp.diags(sys.w_data) @ sys.V
-    WB = sp.diags(sys.w_smooth) @ sys.B
-    a = mu1 * (WV.T @ WV) + mu2 * (WB.T @ WB)
+    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i, sparse CSC.
+
+    The pattern is the registration's fixed one (``SystemStructure``) and the
+    K_D, K_S values are built once per system, so a call only scales and adds
+    them. Entries that come out exactly zero are dropped, as sparse
+    arithmetic drops them, so the matrix is bit for bit the one the sparse
+    products give.
+    """
+    st = sys.structure
+    kd, ks = sys.normal_terms
+    d = mu2 * ks
+    d[st.diag_slots] += mu1 * kd
     if beta != 0.0:
-        a = a + beta * build_S_terms(sys.n)
-    return a.tocsc()
+        d[st.diag_slots[_S_COMPONENTS]] += beta
+    a = sp.csc_matrix((d, st.indices, st.indptr), shape=(4 * st.n, 4 * st.n))
+    if not d.all():
+        a = a.copy()            # the pattern arrays are shared
+        a.eliminate_zeros()
+    return a
 
 
 class Factorization:
@@ -249,16 +379,18 @@ class Factorization:
 
 
 def factorize_system(mu1, mu2, beta, sys):
-    """Factorize the normal-equation matrix; raises SingularSystemError with
-    the suspect vertex blocks when the matrix is singular."""
+    """Factorize the normal-equation matrix ``system_matrix(mu1, mu2, beta,
+    sys)``; raises SingularSystemError with the suspect vertex blocks when
+    the matrix is singular.
+
+    Only the numeric work is per call: the pattern is fixed per registration,
+    and K_D, K_S and their symmetry check are once per system.
+    """
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("mu1 and mu2 must be positive")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     a = system_matrix(mu1, mu2, beta, sys)
-    asym = abs(a - a.T).max()
-    if asym > 1e-12 * max(abs(a).max(), 1.0):
-        raise AssertionError(f"system matrix not symmetric (max asymmetry {asym})")
     try:
         lu = splu(a, diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})

@@ -11,6 +11,7 @@ from . import correspondence as corrmod
 from .geometry import Shape, build_edge_graph, compute_vertex_normals
 from .operators import (
     SystemMatrices,
+    SystemStructure,
     TransformStack,
     assemble_system,
     block_shrink,
@@ -131,10 +132,10 @@ def admm_solve(sys, X_init, cfg):
     converged = False
     wU = sys.w_data[:, None] * sys.U_f
     data_update = DATA_UPDATES[cfg.variant]
+    G1 = sys.data_residual(X)
+    G2 = sys.smooth_residual(X)
     k = 0
     for k in range(1, cfg.inner_iters + 1):
-        G1 = sys.data_residual(X)
-        G2 = sys.smooth_residual(X)
         C = data_update(G1, Y1, mu1)
         if ne:
             A = shrink(G2 - Y2 / mu2, cfg.alpha / mu2)
@@ -269,6 +270,7 @@ def register(template, target, landmarks, cfg):
         # build a faceless target's kNN graph once, not per outer iteration
         targ = replace(targ, edges=build_edge_graph(targ))
 
+    structure = SystemStructure(tmpl.vertices, edges)
     X = TransformStack.identity(tmpl.n_vertices)
     log = []
     converged = False
@@ -287,7 +289,8 @@ def register(template, target, landmarks, cfg):
         corr = corrmod.merge(landmarks, refreshed)
         if corr.n_matched() == 0:
             raise RuntimeError(f"no correspondences at outer iteration {outer}")
-        sys = assemble_system(tmpl, edges, corr, targ.vertices)
+        sys = assemble_system(tmpl, edges, corr, targ.vertices,
+                              structure=structure)
         if cfg.variant != "l2" and cfg.reweight and reweight_on:
             wd, ws = update_weights(X, corr, sys, cfg.eps_data, cfg.eps_smooth)
             sys = replace(sys, w_data=wd, w_smooth=ws)

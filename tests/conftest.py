@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from nrreg import Shape, SolverConfig, synth_deformation
+from nrreg import Shape, SolverConfig, build_S_terms, synth_deformation
 from nrreg.synthesis import DeformationSpec, landmark_subset, make_strip
 
 
@@ -43,6 +44,25 @@ def brute_force_closest(queries, points):
     d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
     idx = np.argmin(d2, axis=1)
     return idx, np.sqrt(d2[np.arange(len(queries)), idx])
+
+
+def sparse_product_system_matrix(mu1, mu2, beta, sys):
+    """Reference transform-update matrix from scipy sparse products, in
+    canonical CSC form: mu1 (W_D V)^T (W_D V) + mu2 (W_S B)^T (W_S B) + beta S.
+    Sparse arithmetic drops entries that come out exactly zero."""
+    WV = sp.diags(sys.w_data) @ sys.V
+    WB = sp.diags(sys.w_smooth) @ sys.B
+    a = mu1 * (WV.T @ WV) + mu2 * (WB.T @ WB)
+    if beta != 0.0:
+        a = a + beta * build_S_terms(sys.n)
+    a = a.tocsc()
+    a.sum_duplicates()
+    return a
+
+
+def unique_rows_undirected(edges):
+    """Reference distinct undirected edges: sorted rows, np.unique(axis=0)."""
+    return np.unique(np.sort(np.asarray(edges, dtype=np.int64), axis=1), axis=0)
 
 
 def tie_rich_clouds():

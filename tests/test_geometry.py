@@ -15,7 +15,13 @@ from nrreg.geometry import (
     unique_undirected,
 )
 
-from conftest import brute_force_closest, brute_force_knn, random_cloud, tie_rich_clouds
+from conftest import (
+    brute_force_closest,
+    brute_force_knn,
+    random_cloud,
+    tie_rich_clouds,
+    unique_rows_undirected,
+)
 
 # six targets equidistant from the origin: the kd-tree's candidate list for
 # the origin ends on a tie, so the query is resolved exhaustively
@@ -297,6 +303,18 @@ class TestShapeInvariants:
         edges = edges_from_faces(np.array([[0, 1, 2], [1, 2, 3]]))
         und = unique_undirected(edges)
         assert len(edges) == 2 * len(und) == 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
+    def test_unique_undirected_matches_row_unique(self, pairs):
+        # duplicates, both orientations, self-loops, and indices that leave
+        # vertices isolated, against np.unique(axis=0) on the sorted rows
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        got = unique_undirected(edges)
+        want = unique_rows_undirected(edges)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertices_named(self, bad):

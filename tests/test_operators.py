@@ -2,6 +2,8 @@
 oracles: grid-search proximal operators, quaternion-parameterized rotation
 search, dense linear solves, and finite differences of the quadratic model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -25,14 +27,16 @@ from nrreg import (
 )
 from nrreg.geometry import Shape, knn_edges
 from nrreg.operators import (
+    SystemStructure,
     _suspect_blocks,
     homogeneous,
     nearest_rotations,
     rotation_rhs,
     system_matrix,
 )
+from nrreg.synthesis import make_strip
 
-from conftest import random_cloud
+from conftest import random_cloud, sparse_product_system_matrix
 
 
 def prox_abs_oracle(x, tau, width=None):
@@ -478,3 +482,129 @@ class TestSystemInvariants:
         x = TransformStack(np.random.default_rng(12).standard_normal((7, 3, 4)))
         v = assemble_V(verts)
         np.testing.assert_allclose(x.apply(verts), v @ x.stacked, atol=1e-12)
+
+
+# coordinates drawn partly from a coarse set, so exact zeros (and the entries
+# they zero out of K_D and K_S) occur often
+_coords = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 2.0]),
+                    st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def weighted_systems(draw):
+    """A small system with unmatched vertices, vertices without edges,
+    duplicate, reversed and self-loop edges, zero smoothness weights and
+    exact-zero coordinates, plus the penalties (mu1, mu2, beta)."""
+    n = draw(st.integers(1, 7))
+    verts = np.array(draw(st.lists(st.tuples(_coords, _coords, _coords),
+                                   min_size=n, max_size=n)))
+    edges = np.array(draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   max_size=3 * n)), dtype=np.int64).reshape(-1, 2)
+    matched = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    w_data = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    w_smooth = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 100.0)),
+                             min_size=len(edges), max_size=len(edges)))
+    corr = CorrespondenceMap(np.where(matched, np.arange(1, n + 1), 0))
+    sys_ = assemble_system(Shape(vertices=verts), edges, corr, verts,
+                           w_data, w_smooth)
+    mu1, mu2 = draw(st.floats(0.1, 1e3)), draw(st.floats(0.1, 1e3))
+    beta = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    return sys_, verts, edges, mu1, mu2, beta
+
+
+def dense_system_matrix(mu1, mu2, beta, verts, edges, w_data, w_smooth):
+    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta S from dense V and B."""
+    n = len(verts)
+    vh = np.hstack([verts, np.ones((n, 1))])
+    V = np.zeros((n, 4 * n))
+    B = np.zeros((len(edges), 4 * n))
+    for i in range(n):
+        V[i, 4 * i:4 * i + 4] = vh[i]
+    for r, (i, j) in enumerate(edges):
+        B[r, 4 * i:4 * i + 4] += vh[i]
+        B[r, 4 * j:4 * j + 4] -= vh[i]
+    return (mu1 * V.T @ (w_data[:, None] ** 2 * V)
+            + mu2 * B.T @ (w_smooth[:, None] ** 2 * B)
+            + beta * np.diag(np.tile([1.0, 1.0, 1.0, 0.0], n)))
+
+
+class TestFixedPatternSystemMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_systems())
+    def test_matches_sparse_products_and_dense_oracle(self, case):
+        sys_, verts, edges, mu1, mu2, beta = case
+        a = system_matrix(mu1, mu2, beta, sys_)
+        ref = sparse_product_system_matrix(mu1, mu2, beta, sys_)
+        assert a.format == "csc" and a.has_canonical_format
+        np.testing.assert_array_equal(a.indptr, ref.indptr)
+        np.testing.assert_array_equal(a.indices, ref.indices)
+        np.testing.assert_array_equal(a.data, ref.data)
+        dense = dense_system_matrix(mu1, mu2, beta, verts, edges,
+                                    sys_.w_data, sys_.w_smooth)
+        scale = max(np.abs(dense).max(), 1.0)
+        assert np.abs(a.toarray() - dense).max() <= 1e-12 * scale
+        assert (a != a.T).nnz == 0
+
+    def test_strip_matches_sparse_products(self):
+        template = make_strip(12, 5, 0.1, relief=0.5)
+        rng = np.random.default_rng(3)
+        n = template.n_vertices
+        corr = CorrespondenceMap(np.where(rng.random(n) < 0.8,
+                                          np.arange(1, n + 1), 0))
+        sys_ = assemble_system(template, template.edges, corr,
+                               template.vertices, rng.random(n) + 0.01,
+                               rng.random(len(template.edges)) + 0.01)
+        for mu1, mu2, beta in [(1.0, 1.0, 0.0), (3.5, 0.7, 0.2),
+                               (2.0 ** 17, 2.0 ** 17, 0.2)]:
+            a = system_matrix(mu1, mu2, beta, sys_)
+            ref = sparse_product_system_matrix(mu1, mu2, beta, sys_)
+            for got, want in [(a.data, ref.data), (a.indices, ref.indices),
+                              (a.indptr, ref.indptr)]:
+                np.testing.assert_array_equal(got, want)
+
+    def test_new_weights_never_meet_old_values(self):
+        sys_ = small_system(n=10, seed=12)
+        first = system_matrix(1.0, 2.0, 0.3, sys_)
+        rng = np.random.default_rng(13)
+        for changed in (replace(sys_, w_data=sys_.w_data * rng.random(10)),
+                        replace(sys_, w_smooth=rng.random(sys_.n_edges))):
+            a = system_matrix(1.0, 2.0, 0.3, changed)
+            ref = sparse_product_system_matrix(1.0, 2.0, 0.3, changed)
+            np.testing.assert_array_equal(a.data, ref.data)
+            assert not np.array_equal(a.data, first.data)
+        assert changed.structure is sys_.structure
+
+    def test_pattern_shared_and_read_only(self):
+        sys_ = small_system(n=10, seed=14)
+        a = system_matrix(1.0, 2.0, 0.3, sys_)
+        b = system_matrix(4.0, 8.0, 0.3, sys_)
+        for m in (a, b):
+            assert np.shares_memory(m.indices, sys_.structure.indices)
+        with pytest.raises(ValueError):
+            a.indices[0] = 1
+
+    @pytest.mark.parametrize("term", [0, 1])
+    def test_tampered_term_fails_symmetry_check(self, monkeypatch, term):
+        import nrreg.operators
+        original = nrreg.operators.normal_blocks
+
+        def tampered(*args):
+            terms = list(original(*args))
+            terms[term] = terms[term].copy()
+            terms[term][1, 0] += 1e-3      # entry (0, 1) of vertex 0's block
+            return tuple(terms)
+
+        monkeypatch.setattr(nrreg.operators, "normal_blocks", tampered)
+        with pytest.raises(AssertionError, match="system matrix not symmetric"):
+            factorize_system(1.0, 1.0, 0.1, small_system(n=6, seed=15))
+
+    def test_structure_blocks(self):
+        # one diagonal block per vertex, isolated ones included, and one
+        # block each way per distinct edge pair
+        verts = random_cloud(5, seed=16)
+        edges = np.array([[0, 1], [1, 0], [0, 1], [2, 3], [4, 4]])
+        st_ = SystemStructure(verts, edges)
+        assert st_.n_blocks == 5 + 4
+        assert st_.indptr[-1] == 16 * st_.n_blocks
+        np.testing.assert_array_equal(st_.edge_rows, [0, 1, 2, 3])

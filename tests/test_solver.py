@@ -255,6 +255,39 @@ class TestRegister:
         # many closest-point refreshes run
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_system_work_hoisted(self, bend_instance, monkeypatch, variant):
+        # the matrix pattern is built once per registration and K_D, K_S once
+        # per outer iteration, however many factorizations the inner loop runs
+        import nrreg.operators
+        import nrreg.solver
+        counts = {"structure": 0, "terms": 0, "factorize": 0}
+
+        class CountingStructure(nrreg.operators.SystemStructure):
+            def __init__(self, *args):
+                counts["structure"] += 1
+                super().__init__(*args)
+
+        def counter(key, fn):
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(nrreg.solver, "SystemStructure", CountingStructure)
+        monkeypatch.setattr(nrreg.operators, "normal_blocks",
+                            counter("terms", nrreg.operators.normal_blocks))
+        monkeypatch.setattr(nrreg.solver, "factorize_system",
+                            counter("factorize", nrreg.solver.factorize_system))
+        b = bend_instance
+        res = register(b["template"], b["target"], b["landmarks"],
+                       replace(b["cfg"], outer_iters=4, variant=variant))
+        assert counts["structure"] == 1
+        assert counts["terms"] == len(res.log) == 4
+        assert counts["factorize"] == sum(e["inner"] for e in res.log)
+        if variant != "l2":
+            assert counts["factorize"] > len(res.log)
+
     def test_transforms_in_original_frame(self, bend_run, bend_instance):
         b = bend_instance
         moved = bend_run.transforms.apply(b["template"].vertices)
