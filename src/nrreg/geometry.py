@@ -92,7 +92,7 @@ def edges_from_faces(faces):
     """Both orientations of each unique mesh edge, lexicographically ordered."""
     f = np.asarray(faces, dtype=np.int64)
     und = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    und = np.unique(np.sort(und, axis=1), axis=0)
+    und = unique_undirected(und)
     both = np.concatenate([und, und[:, ::-1]])
     order = np.lexsort((both[:, 1], both[:, 0]))
     return both[order]

@@ -130,27 +130,38 @@ class SystemStructure:
         for arr in (self.indptr, self.indices):
             arr.setflags(write=False)
 
+    @cached_property
+    def unit_smooth_terms(self):
+        """K_S = B^T B on the CSC slots: the smoothness term at unit weights,
+        which the binary acquisition phase and the l2 baseline use at every
+        outer iteration, built and checked once per structure."""
+        return _csc_terms(normal_blocks(self, None, np.ones(len(self.edges)))[1],
+                          self)
+
 
 def normal_blocks(structure, w_data, w_smooth):
     """K_D = (W_D V)^T (W_D V) and K_S = (W_S B)^T (W_S B) per block
     component: (16, N) for K_D, whose only blocks are the vertex diagonals,
-    and (16, n_blocks) for K_S.
+    and (16, n_blocks) for K_S; a term whose weights are None is None.
 
     Each entry is formed as a sparse product forms it: products of weighted
     entries, summed over edges in edge order (``np.bincount`` adds in input
     order), so the values are bit for bit those of the products.
     """
     st = structure
-    wv = w_data * st.vh.T                                   # (4, N)
-    kd = (wv[:, None] * wv[None, :]).reshape(16, st.n)
-    rows = st.edge_rows
-    ws = w_smooth[rows] * st.vh[st.edges[rows, 0]].T        # (4, E)
-    p = (ws[:, None] * ws[None, :]).reshape(16, len(rows))
-    ks = np.empty((16, st.n_blocks))
-    for c in range(16):
-        ks[c] = np.bincount(st.edge_blocks, np.repeat(p[c], 4),
-                            minlength=st.n_blocks)
-    ks[:, st.n:] *= -1.0          # B holds -v_i in block j
+    kd = ks = None
+    if w_data is not None:
+        wv = w_data * st.vh.T                               # (4, N)
+        kd = (wv[:, None] * wv[None, :]).reshape(16, st.n)
+    if w_smooth is not None:
+        rows = st.edge_rows
+        ws = w_smooth[rows] * st.vh[st.edges[rows, 0]].T    # (4, E)
+        p = (ws[:, None] * ws[None, :]).reshape(16, len(rows))
+        ks = np.empty((16, st.n_blocks))
+        for c in range(16):
+            ks[c] = np.bincount(st.edge_blocks, np.repeat(p[c], 4),
+                                minlength=st.n_blocks)
+        ks[:, st.n:] *= -1.0      # B holds -v_i in block j
     return kd, ks
 
 
@@ -162,6 +173,12 @@ def _assert_symmetric(values, block_T):
     scale = max(values.max(initial=0.0), -values.min(initial=0.0), 1.0)
     if asym > 1e-12 * scale:
         raise AssertionError(f"system matrix not symmetric (max asymmetry {asym})")
+
+
+def _csc_terms(values, structure):
+    """Block values (16, n_blocks), checked for symmetry, in CSC slot order."""
+    _assert_symmetric(values, structure.block_T)
+    return values.reshape(-1).take(structure.perm)
 
 
 @dataclass
@@ -201,12 +218,14 @@ class SystemMatrices:
     def normal_terms(self):
         """(K_D, K_S) for these weights, built and checked for symmetry once
         per instance: K_D per component of the vertex diagonal blocks (see
-        ``normal_blocks``), K_S on the CSC slots; ``replace`` makes a new
-        instance, so new weights never meet old values."""
-        kd, ks = normal_blocks(self.structure, self.w_data, self.w_smooth)
-        _assert_symmetric(kd, self.structure.block_T[:self.n])
-        _assert_symmetric(ks, self.structure.block_T)
-        return kd, ks.reshape(-1).take(self.structure.perm)
+        ``normal_blocks``), K_S on the CSC slots, taken from the structure
+        when every smoothness weight is 1; ``replace`` makes a new instance,
+        so new weights never meet old values."""
+        st = self.structure
+        unit = not np.any(self.w_smooth != 1.0)
+        kd, ks = normal_blocks(st, self.w_data, None if unit else self.w_smooth)
+        _assert_symmetric(kd, st.block_T[:self.n])
+        return kd, st.unit_smooth_terms if unit else _csc_terms(ks, st)
 
     def data_residual(self, X):
         """W_D (V X - U_f) as an (N, 3) dense matrix."""
@@ -314,9 +333,77 @@ def procrustes_project(m):
     return r[0], bool(unique[0])
 
 
+# entry k = 3i + j of a row-major 3x3 matrix m has the cofactor
+# m[_COF[0]] m[_COF[1]] - m[_COF[2]] m[_COF[3]]: the 2x2 minor on rows and
+# columns i+1, i+2 and j+1, j+2 (mod 3), whose cyclic order carries the sign
+_ROW, _COL = np.divmod(np.arange(9), 3)
+_COF = [3 * ((_ROW + a) % 3) + (_COL + b) % 3
+        for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]
+_POLAR_TOL = 1e-9        # largest entry step that ends the iteration
+_POLAR_STEPS = 30
+_POLAR_COND = 1e3        # largest Frobenius condition number kept
+
+
+def _cofactors(m):
+    """Cofactors, determinants and cofactor Frobenius norms of the (9, N)
+    component arrays of N row-major 3x3 matrices."""
+    c = m[_COF[0]] * m[_COF[1]] - m[_COF[2]] * m[_COF[3]]
+    det = np.einsum("kn,kn->n", m[:3], c[:3])
+    return c, det, np.sqrt(np.einsum("kn,kn->n", c, c))
+
+
+def _newton_polar(m):
+    """Orthogonal polar factors of a finite (N, 3, 3) stack by the scaled
+    Newton iteration M <- (zeta M + M^-T / zeta) / 2, M^-T = cof(M) / det M,
+    zeta = sqrt(||M^-1||_F / ||M||_F) (Higham 1986), run on all rows at once.
+
+    Returns (R, ok). Rows with ok False are left to the SVD: det <= 0 (the
+    polar factor is a reflection, not the nearest rotation), a Frobenius
+    condition number above ``_POLAR_COND`` (the polar factor is too
+    sensitive to agree with the SVD to 1e-12; rank-deficient rows included),
+    or no step at or below ``_POLAR_TOL`` within ``_POLAR_STEPS``. The input
+    is not modified.
+    """
+    n = len(m)
+    a = m.reshape(n, 9).T.copy()
+    norm = np.sqrt(np.einsum("kn,kn->n", a, a))
+    a /= np.where(norm > 0, norm, 1.0)
+    _, det, cof_norm = _cofactors(a)
+    # at unit Frobenius norm, ||cof|| / det is the Frobenius condition number,
+    # and it is at most K only if every singular value is at least 1/K, so
+    # det >= K^-3: far above the rounding of det and cof, which on a singular
+    # input can pass the ratio test on their own
+    ok = (det >= _POLAR_COND ** -3) & (cof_norm <= _POLAR_COND * det)
+    a[:, ~ok] = np.eye(3).reshape(9, 1)       # a fixed point of the step
+    for _ in range(_POLAR_STEPS):
+        c, det, cof_norm = _cofactors(a)
+        zeta = np.sqrt(cof_norm / (det * np.sqrt(np.einsum("kn,kn->n", a, a))))
+        new = 0.5 * (zeta * a + c / (zeta * det))
+        step = np.abs(new - a).max(axis=0)
+        a = new
+        # quadratic convergence: after a step of 1e-9 the error is at rounding
+        if step.max(initial=0.0) <= _POLAR_TOL:
+            break
+    return a.T.reshape(n, 3, 3), ok & (step <= _POLAR_TOL)
+
+
 def project_rotations(X):
-    """Nearest rotation per transform block: (N, 3, 3) array."""
-    return nearest_rotations(X.linear_parts())[0]
+    """Nearest proper rotation per transform block: (N, 3, 3) array.
+
+    The linear parts the solver projects are near-rotations, so their polar
+    factors come from ``_newton_polar``: a few elementwise passes over all
+    blocks instead of one LAPACK SVD per block, within 1e-12 of the SVD.
+    Only the rows it leaves (reflections, ill-conditioned or unconverged
+    blocks) go to ``nearest_rotations``, which stays the one SVD definition
+    with the Kabsch flip and the uniqueness flags.
+    """
+    m = X.linear_parts()
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrices must be finite")
+    r, ok = _newton_polar(m)
+    if not ok.all():
+        r[~ok] = nearest_rotations(m[~ok])[0]
+    return r
 
 
 def build_S_terms(n):

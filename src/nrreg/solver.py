@@ -235,8 +235,8 @@ def _denormalize(X, center, scale):
     return TransformStack(blocks)
 
 
-def _shape_with_optional_normals(vertices, faces):
-    shape = Shape(vertices=vertices, faces=faces)
+def _shape_with_optional_normals(vertices, faces, edges=None):
+    shape = Shape(vertices=vertices, faces=faces, edges=edges)
     if faces is not None and len(faces):
         normals, _ = compute_vertex_normals(shape)
         shape = replace(shape, normals=normals)
@@ -283,7 +283,8 @@ def register(template, target, landmarks, cfg):
                 log[-1]["mean_displacement"] < cfg.reweight_start_tol:
             reweight_on = True
         deformed_v = X.apply(tmpl_v)
-        deformed = _shape_with_optional_normals(deformed_v, template.faces)
+        # the template's edges: Shape need not derive them again from faces
+        deformed = _shape_with_optional_normals(deformed_v, template.faces, edges)
         refreshed = corrmod.closest_point_refresh(
             deformed, targ, cfg.max_dist_factor, cfg.max_normal_angle)
         corr = corrmod.merge(landmarks, refreshed)

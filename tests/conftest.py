@@ -65,6 +65,16 @@ def unique_rows_undirected(edges):
     return np.unique(np.sort(np.asarray(edges, dtype=np.int64), axis=1), axis=0)
 
 
+def edges_from_faces_row_unique(faces):
+    """Reference mesh half-edges: the face edges' distinct sorted rows by
+    np.unique(axis=0), both orientations, lexicographically ordered."""
+    f = np.asarray(faces, dtype=np.int64)
+    und = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    und = unique_rows_undirected(und)
+    both = np.concatenate([und, und[:, ::-1]])
+    return both[np.lexsort((both[:, 1], both[:, 0]))]
+
+
 def tie_rich_clouds():
     """Point sets whose neighbor distances tie exactly: a flat grid, a cubic
     grid, repeated points, and coordinates rounded to a coarse lattice."""

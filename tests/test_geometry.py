@@ -18,6 +18,7 @@ from nrreg.geometry import (
 from conftest import (
     brute_force_closest,
     brute_force_knn,
+    edges_from_faces_row_unique,
     random_cloud,
     tie_rich_clouds,
     unique_rows_undirected,
@@ -313,6 +314,18 @@ class TestShapeInvariants:
         edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         got = unique_undirected(edges)
         want = unique_rows_undirected(edges)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=30)))
+    def test_edges_from_faces_matches_row_unique(self, faces):
+        # on few vertices faces share edges, repeat, and degenerate (a vertex
+        # used twice), and high vertex numbers go unused
+        faces = np.array(faces, dtype=np.int64)
+        got = edges_from_faces(faces)
+        want = edges_from_faces_row_unique(faces)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 

@@ -22,15 +22,19 @@ from nrreg import (
     build_S_terms,
     factorize_system,
     procrustes_project,
+    register,
     shrink,
     solve_X,
 )
 from nrreg.geometry import Shape, knn_edges
 from nrreg.operators import (
+    _POLAR_COND,
     SystemStructure,
+    _newton_polar,
     _suspect_blocks,
     homogeneous,
     nearest_rotations,
+    project_rotations,
     rotation_rhs,
     system_matrix,
 )
@@ -318,6 +322,117 @@ class TestNearestRotations:
         stack[3, 1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             nearest_rotations(stack)
+
+
+def random_rotation(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.linalg.det(q))
+
+
+def polar_test_matrix(kind, seed, scale):
+    """One 3x3 matrix of the given kind, times ``scale``."""
+    rng = np.random.default_rng(seed)
+    rot = random_rotation(rng)
+    s = np.sort(rng.uniform(0.1, 3.0, 3))[::-1]
+    m = {
+        "rotation": rot,
+        "near-rotation": rot @ (np.eye(3) + 1e-4 * rng.standard_normal((3, 3))),
+        "random": rng.standard_normal((3, 3)),
+        "reflection": -rot @ np.diag(s),
+        "rank-deficient": rot @ np.diag([s[0], s[1] * rng.integers(2), 0.0])
+        @ random_rotation(rng),
+        "tied-spectrum": rng.choice([-1.0, 1.0]) * rot @ np.diag([s[0], s[2], s[2]]),
+    }[kind]
+    return scale * m
+
+
+polar_stacks = st.lists(
+    st.tuples(st.sampled_from(["rotation", "near-rotation", "random", "reflection",
+                               "rank-deficient", "tied-spectrum"]),
+              st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 1e-9, 1e9])),
+    min_size=1, max_size=12).map(
+        lambda rows: np.stack([polar_test_matrix(*row) for row in rows]))
+
+
+def with_linear_parts(m):
+    blocks = np.ones((len(m), 3, 4))
+    blocks[:, :, :3] = m
+    return TransformStack(blocks)
+
+
+class TestProjectRotations:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(polar_stacks)
+    def test_matches_svd(self, m):
+        r = project_rotations(with_linear_parts(m))
+        ref, unique = nearest_rotations(m)
+        m0 = m.copy()
+        _, fast = _newton_polar(m)
+        np.testing.assert_array_equal(m, m0)
+        assert np.abs(r.transpose(0, 2, 1) @ r - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(r) - 1.0).max() <= 1e-12
+        np.testing.assert_allclose(r[unique], ref[unique], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(r[~fast], ref[~fast])
+        # every proper, well-conditioned row converges on the fast path,
+        # whatever its scale
+        proper = (np.linalg.det(m) > 0) & (np.linalg.cond(m, "fro") <= _POLAR_COND / 2)
+        assert fast[proper].all()
+
+    def test_scaled_iteration_settles_in_few_steps(self, monkeypatch):
+        # the zeta scaling brings any scale and any Frobenius condition number
+        # up to _POLAR_COND within 8 steps (the unscaled iteration needs 14)
+        import nrreg.operators
+        rng = np.random.default_rng(5)
+        spectra = [[1, 1, 1], [1, 1e-1, 1e-2], [1, 1e-2, 2e-3], [1, 1, 2.5e-3],
+                   [1, 1.5e-3, 1.5e-3], [2, 1, 0.5]]
+        m = np.stack([scale * random_rotation(rng) @ np.diag(s) @ random_rotation(rng)
+                      for s in spectra for scale in (1e-9, 1.0, 1e9)])
+        assert np.linalg.cond(m, "fro").max() <= _POLAR_COND
+        monkeypatch.setattr(nrreg.operators, "_POLAR_STEPS", 8)
+        r, fast = _newton_polar(m)
+        assert fast.all()
+        np.testing.assert_allclose(r, nearest_rotations(m)[0], rtol=0, atol=1e-12)
+
+    def test_mixed_stack_trace_optimal(self):
+        stack = TestNearestRotations.mixed_stack()
+        rots = project_rotations(with_linear_parts(stack))
+        _, fast = _newton_polar(stack)
+        # the proper rows are solved by the iteration, the others by the SVD
+        assert fast.tolist() == (np.linalg.det(stack) > 0).tolist() == [
+            True, True, False, False, True, False, False, False]
+        np.testing.assert_array_equal(rots[~fast], nearest_rotations(stack)[0][~fast])
+        for i, (r, m) in enumerate(zip(rots, stack)):
+            assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-12
+            _, oracle_val = max_trace_rotation(m, seed=i)
+            assert np.trace(r.T @ m) >= oracle_val - 1e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        stack = TestNearestRotations.mixed_stack()
+        stack[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            project_rotations(with_linear_parts(stack))
+
+    def test_bend_rows_never_fall_back(self, bend_instance, monkeypatch):
+        # every projection of one bend registration runs on the fast path
+        # and agrees with the SVD
+        import nrreg.solver
+        seen = []
+
+        def recording(X):
+            r = project_rotations(X)
+            seen.append((X.linear_parts().copy(), r))
+            return r
+
+        monkeypatch.setattr(nrreg.solver, "project_rotations", recording)
+        b = bend_instance
+        res = register(b["template"], b["target"], b["landmarks"], b["cfg"])
+        assert res.converged
+        assert len(seen) == sum(e["inner"] for e in res.log)
+        for m, r in seen:
+            assert _newton_polar(m)[1].all()
+            np.testing.assert_allclose(r, nearest_rotations(m)[0], rtol=0, atol=1e-12)
 
 
 class TestFactorizeAndSolve:

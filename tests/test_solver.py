@@ -257,11 +257,13 @@ class TestRegister:
 
     @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
     def test_system_work_hoisted(self, bend_instance, monkeypatch, variant):
-        # the matrix pattern is built once per registration and K_D, K_S once
-        # per outer iteration, however many factorizations the inner loop runs
+        # the matrix pattern and the unit-weight K_S = B^T B are built once per
+        # registration, K_D once per outer iteration and a reweighted K_S once
+        # per reweighted one, however many factorizations the inner loop runs
         import nrreg.operators
         import nrreg.solver
-        counts = {"structure": 0, "terms": 0, "factorize": 0}
+        counts = {"structure": 0, "terms": 0, "factorize": 0,
+                  "unit_smooth": 0, "weighted_smooth": 0}
 
         class CountingStructure(nrreg.operators.SystemStructure):
             def __init__(self, *args):
@@ -275,15 +277,29 @@ class TestRegister:
             return counted
 
         monkeypatch.setattr(nrreg.solver, "SystemStructure", CountingStructure)
-        monkeypatch.setattr(nrreg.operators, "normal_blocks",
-                            counter("terms", nrreg.operators.normal_blocks))
+        blocks = nrreg.operators.normal_blocks
+
+        def counted_blocks(structure, w_data, w_smooth):
+            counts["terms"] += w_data is not None
+            if w_smooth is not None:
+                unit = np.all(w_smooth == 1.0)
+                counts["unit_smooth" if unit else "weighted_smooth"] += 1
+            return blocks(structure, w_data, w_smooth)
+
+        monkeypatch.setattr(nrreg.operators, "normal_blocks", counted_blocks)
         monkeypatch.setattr(nrreg.solver, "factorize_system",
                             counter("factorize", nrreg.solver.factorize_system))
         b = bend_instance
         res = register(b["template"], b["target"], b["landmarks"],
-                       replace(b["cfg"], outer_iters=4, variant=variant))
+                       replace(b["cfg"], outer_iters=6, variant=variant))
         assert counts["structure"] == 1
-        assert counts["terms"] == len(res.log) == 4
+        assert counts["terms"] == len(res.log) >= 4
+        assert counts["unit_smooth"] == 1
+        if variant == "l2":         # the baseline keeps unit weights
+            assert counts["weighted_smooth"] == 0
+        else:                       # reweighting starts at outer iteration 5
+            assert counts["weighted_smooth"] == sum(
+                e["reweighted"] for e in res.log) == 2
         assert counts["factorize"] == sum(e["inner"] for e in res.log)
         if variant != "l2":
             assert counts["factorize"] > len(res.log)
