@@ -79,11 +79,6 @@ class Shape:
     def n_vertices(self):
         return self.vertices.shape[0]
 
-    def with_vertices(self, vertices):
-        """Copy of this shape with replaced vertex positions (normals dropped)."""
-        return replace(self, vertices=np.array(vertices, dtype=np.float64),
-                       normals=None)
-
     def bbox_diagonal(self):
         return float(np.linalg.norm(self.vertices.max(0) - self.vertices.min(0)))
 

@@ -79,18 +79,60 @@ _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(-1)
 _S_COMPONENTS = [0, 5, 10]
 
 
-class SystemStructure:
-    """What the template alone fixes, built once per registration: V, B and
-    the CSC pattern of mu1 K_D + mu2 K_S + beta S at 4x4-block level (one
-    diagonal block per vertex, the (i, j) and (j, i) blocks of every edge).
+def min_degree_order(n, rows, cols):
+    """Minimum-degree order of the n-vertex graph whose edges (rows[k],
+    cols[k]) are listed both ways (George & Liu 1989): SuperLU's
+    ``MMD_AT_PLUS_A`` column order of graph Laplacian + I, an SPD matrix with
+    the graph's pattern. Position k of the result holds vertex order[k]
+    (SuperLU's ``perm_c`` is the inverse map: vertex i goes to perm_c[i])."""
+    deg = np.bincount(rows, minlength=n)
+    diag = np.arange(n)
+    g = sp.csc_matrix((np.concatenate([deg + 1.0, -np.ones(len(rows))]),
+                       (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
+                      shape=(n, n))
+    position = splu(g, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).perm_c
+    return np.argsort(position)
 
-    Block values are (16, n_blocks) arrays, component 4a + b holding entry
-    (a, b), vertex diagonals first; ``perm`` puts them in CSC order and
-    ``diag_slots`` gives the (16, N) CSC slots of the diagonals. Block
+
+def _block_csc(row, col, n):
+    """Read-only CSC ``indptr``, ``indices`` of the 4n x 4n matrix whose
+    nonzero 4x4 blocks are (row[k], col[k]), and the (16, n_blocks) slot of
+    each block component. Scalar column 4J + b holds rows 4r..4r+3 of each
+    block (r, J) of block column J, in block-row order."""
+    order = np.lexsort((row, col))
+    count = np.bincount(col, minlength=n)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.repeat(4 * count, 4))]).astype(np.int32)
+    pos = np.empty(len(row), np.int64)
+    pos[order] = np.arange(len(row)) - (np.cumsum(count) - count)[col[order]]
+    a, b = np.arange(16)[:, None] // 4, np.arange(16)[:, None] % 4
+    slot = indptr[4 * col] + b * 4 * count[col] + 4 * pos + a
+    indices = np.empty(indptr[-1], np.int32)
+    indices[slot] = 4 * row + a
+    for arr in (indptr, indices):
+        arr.setflags(write=False)
+    return indptr, indices, slot
+
+
+class SystemStructure:
+    """What the template alone fixes, built once per registration: V, B, the
+    4x4-block pattern of mu1 K_D + mu2 K_S + beta S (one diagonal block per
+    vertex, the (i, j) and (j, i) blocks of every edge) and the fill-reducing
+    order the factorization uses.
+
+    ``order`` is a minimum-degree order of the vertex-block graph; the
+    factorized matrix is P A P^T with each vertex's four unknowns kept
+    together, scalar position k holding unknown ``scalar_order[k]``. Block
+    values are (16, n_blocks) arrays, component 4a + b holding entry (a, b),
+    vertex diagonals first; ``perm`` puts them in the CSC order of P A P^T,
+    on the read-only pattern ``factor_indptr``, ``factor_indices``, and
+    ``diag_slots`` gives the (16, N) slots of the diagonals. Block
     ``block_T[k]`` is block k's transpose. ``edge_blocks`` lists the (i, i),
     (j, j), (i, j), (j, i) blocks of each edge (i, j) in ``edge_rows``, the
-    rows of B with i != j (a self-loop's row of B is zero). Every system
-    matrix shares the read-only ``indptr`` and ``indices``.
+    rows of B with i != j (a self-loop's row of B is zero). The vertex-order
+    pattern ``indptr``, ``indices``, which only ``system_matrix`` uses, is
+    built on first use.
     """
 
     def __init__(self, vertices, edges):
@@ -107,28 +149,36 @@ class SystemStructure:
                               return_inverse=True)
         self.edge_blocks = np.column_stack(
             [e[:, 0], e[:, 1], n + inv[:m], n + inv[m:]]).astype(np.int32).reshape(-1)
-        row = np.concatenate([np.arange(n), keys // n])
-        col = np.concatenate([np.arange(n), keys % n])
-        nb = self.n_blocks = len(row)
+        self._row = np.concatenate([np.arange(n), keys // n])
+        self._col = np.concatenate([np.arange(n), keys % n])
+        nb = self.n_blocks = len(self._row)
         self.block_T = np.concatenate(
-            [np.arange(n), n + np.searchsorted(keys, col[n:] * n + row[n:])])
-        # CSC order: scalar column 4J + b holds rows 4r..4r+3 of each block
-        # (r, J) of block column J, in block-row order
-        order = np.lexsort((row, col))
-        count = np.bincount(col, minlength=n)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.repeat(4 * count, 4))]).astype(np.int32)
-        pos = np.empty(nb, np.int64)
-        pos[order] = np.arange(nb) - (np.cumsum(count) - count)[col[order]]
-        a, b = np.arange(16)[:, None] // 4, np.arange(16)[:, None] % 4
-        slot = self.indptr[4 * col] + b * 4 * count[col] + 4 * pos + a
-        self.indices = np.empty(self.indptr[-1], np.int32)
-        self.indices[slot] = 4 * row + a
-        self.perm = np.empty(self.indptr[-1], np.int32)
+            [np.arange(n), n + np.searchsorted(keys, self._col[n:] * n + self._row[n:])])
+        self.order = min_degree_order(n, self._row[n:], self._col[n:])
+        self.scalar_order = (4 * self.order[:, None] + np.arange(4)).reshape(-1)
+        position = np.argsort(self.order)
+        self.factor_indptr, self.factor_indices, slot = _block_csc(
+            position[self._row], position[self._col], n)
+        self.perm = np.empty(len(self.factor_indices), np.int32)
         self.perm[slot] = np.arange(16 * nb).reshape(16, nb)
         self.diag_slots = slot[:, :n].copy()
-        for arr in (self.indptr, self.indices):
-            arr.setflags(write=False)
+
+    @cached_property
+    def vertex_pattern(self):
+        """(indptr, indices, take): the read-only CSC pattern in vertex
+        order, and the factor-order slot of each of its entries."""
+        indptr, indices, slot = _block_csc(self._row, self._col, self.n)
+        take = np.empty(len(indices), np.int64)
+        take[slot.reshape(-1)[self.perm]] = np.arange(len(indices))
+        return indptr, indices, take
+
+    @property
+    def indptr(self):
+        return self.vertex_pattern[0]
+
+    @property
+    def indices(self):
+        return self.vertex_pattern[1]
 
     @cached_property
     def unit_smooth_terms(self):
@@ -426,40 +476,59 @@ def rotation_rhs(rotations):
     return out
 
 
-def system_matrix(mu1, mu2, beta, sys):
-    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i, sparse CSC.
-
-    The pattern is the registration's fixed one (``SystemStructure``) and the
-    K_D, K_S values are built once per system, so a call only scales and adds
-    them. Entries that come out exactly zero are dropped, as sparse
-    arithmetic drops them, so the matrix is bit for bit the one the sparse
-    products give.
-    """
+def _factor_data(mu1, mu2, beta, sys):
+    """CSC data of P A P^T for A = ``system_matrix(mu1, mu2, beta, sys)``:
+    the K_D, K_S values are built once per system, so a call only scales and
+    adds them."""
     st = sys.structure
     kd, ks = sys.normal_terms
     d = mu2 * ks
     d[st.diag_slots] += mu1 * kd
     if beta != 0.0:
         d[st.diag_slots[_S_COMPONENTS]] += beta
-    a = sp.csc_matrix((d, st.indices, st.indptr), shape=(4 * st.n, 4 * st.n))
-    if not d.all():
-        a = a.copy()            # the pattern arrays are shared
+    return d
+
+
+def _csc(data, indptr, indices):
+    """Square CSC matrix on a shared read-only pattern. Entries that are
+    exactly zero are dropped, as sparse arithmetic drops them, from a copy:
+    the pattern arrays are never written."""
+    n = len(indptr) - 1
+    a = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    if not data.all():
+        a = a.copy()
         a.eliminate_zeros()
     return a
 
 
-class Factorization:
-    """Reusable symmetric factorization of the transform-update system."""
+def system_matrix(mu1, mu2, beta, sys):
+    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i, sparse CSC
+    in vertex order.
 
-    def __init__(self, lu, shape):
+    The values are the factorization's (``_factor_data``) moved to the
+    registration's fixed vertex-order pattern, so the matrix is bit for bit
+    the one the sparse products give.
+    """
+    indptr, indices, take = sys.structure.vertex_pattern
+    return _csc(_factor_data(mu1, mu2, beta, sys).take(take), indptr, indices)
+
+
+class Factorization:
+    """Reusable symmetric factorization of the transform-update system,
+    factorized as P A P^T; ``solve`` maps the right-hand side and the
+    solution through the permutation, so it takes and returns vertex order."""
+
+    def __init__(self, lu, order):
         self._lu = lu
-        self.shape = shape
+        self._order = order
+        self.shape = lu.shape
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {self.shape[0]}")
-        x = self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("solve produced non-finite values")
         return x
@@ -470,34 +539,41 @@ def factorize_system(mu1, mu2, beta, sys):
     sys)``; raises SingularSystemError with the suspect vertex blocks when
     the matrix is singular.
 
-    Only the numeric work is per call: the pattern is fixed per registration,
-    and K_D, K_S and their symmetry check are once per system.
+    Only the numeric work is per call. The pattern and its minimum-degree
+    order are fixed per registration (``SystemStructure``), so SuperLU gets
+    P A P^T, assembled in that order, with the natural column order; K_D,
+    K_S and their symmetry check are once per system.
     """
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("mu1 and mu2 must be positive")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    a = system_matrix(mu1, mu2, beta, sys)
+    st = sys.structure
+    a = _csc(_factor_data(mu1, mu2, beta, sys), st.factor_indptr,
+             st.factor_indices)
     try:
-        lu = splu(a, diag_pivot_thresh=0.0,
+        lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
-        bad = _suspect_blocks(a)
-        raise SingularSystemError(
-            f"singular system: {exc}; suspect vertex blocks {bad}",
-            vertex_blocks=bad) from exc
+        raise _singular(exc, a, st.order) from exc
     # SuperLU can succeed numerically on structurally singular inputs; check.
     du = np.abs(lu.U.diagonal())
     if du.size == 0 or du.min() <= 1e-12 * max(du.max(), 1.0):
-        bad = _suspect_blocks(a)
-        raise SingularSystemError(
-            f"singular system: zero pivot; suspect vertex blocks {bad}",
-            vertex_blocks=bad)
-    return Factorization(lu, a.shape)
+        raise _singular("zero pivot", a, st.order)
+    return Factorization(lu, st.scalar_order)
+
+
+def _singular(reason, a, order):
+    """SingularSystemError naming the original indices of the vertices whose
+    diagonal block of ``a`` (block k is vertex order[k]) is rank deficient."""
+    bad = sorted(order[_suspect_blocks(a)].tolist())
+    return SingularSystemError(
+        f"singular system: {reason}; suspect vertex blocks {bad}",
+        vertex_blocks=bad)
 
 
 def _suspect_blocks(a, tol=1e-10):
-    """Vertex indices whose diagonal 4x4 block is rank deficient."""
+    """Indices of the diagonal 4x4 blocks of ``a`` that are rank deficient."""
     n = a.shape[0] // 4
     coo = a.tocoo()
     keep = coo.row // 4 == coo.col // 4

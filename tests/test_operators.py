@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.sparse.linalg import splu
 
 from nrreg import (
     CorrespondenceMap,
@@ -723,3 +724,117 @@ class TestFixedPatternSystemMatrix:
         assert st_.n_blocks == 5 + 4
         assert st_.indptr[-1] == 16 * st_.n_blocks
         np.testing.assert_array_equal(st_.edge_rows, [0, 1, 2, 3])
+
+
+class TestBlockOrdering:
+    def test_order_is_block_permutation_built_once(self, bend_instance,
+                                                   monkeypatch):
+        # one minimum-degree order per registration, expanded to contiguous
+        # 4-blocks, however many factorizations the inner loop runs
+        import nrreg.operators
+        import nrreg.solver
+        counts = {"order": 0, "factorize": 0}
+        order_fn = nrreg.operators.min_degree_order
+        factorize = nrreg.solver.factorize_system
+
+        def counted_order(*args):
+            counts["order"] += 1
+            return order_fn(*args)
+
+        def counted_factorize(*args):
+            counts["factorize"] += 1
+            return factorize(*args)
+
+        monkeypatch.setattr(nrreg.operators, "min_degree_order", counted_order)
+        monkeypatch.setattr(nrreg.solver, "factorize_system", counted_factorize)
+        b = bend_instance
+        res = register(b["template"], b["target"], b["landmarks"],
+                       replace(b["cfg"], outer_iters=2))
+        assert counts["order"] == 1
+        assert counts["factorize"] == sum(e["inner"] for e in res.log) > 1
+        st_ = res.final_system.structure
+        n = st_.n
+        np.testing.assert_array_equal(np.sort(st_.order), np.arange(n))
+        assert not np.array_equal(st_.order, np.arange(n))
+        np.testing.assert_array_equal(
+            st_.scalar_order.reshape(n, 4), 4 * st_.order[:, None] + np.arange(4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_systems())
+    def test_solve_matches_dense_solve(self, case):
+        # isolated and unmatched vertices, self-loops, duplicate edges and
+        # zero weights: the permuted factorization solves in vertex order
+        sys_, verts, edges, mu1, mu2, beta = case
+        dense = system_matrix(mu1, mu2, beta, sys_).toarray()
+        rhs = np.random.default_rng(0).standard_normal((len(dense), 3))
+        eig = np.linalg.eigvalsh(dense)
+        try:
+            x = factorize_system(mu1, mu2, beta, sys_).solve(rhs)
+        except SingularSystemError:
+            # the matrix is PSD, so no pivot falls below its smallest
+            # eigenvalue: a rejected pivot bounds it
+            assert eig[0] <= 1e-10 * max(eig[-1], 1.0)
+            return
+        # two backward-stable solves differ by about cond * eps, so 1e-8
+        # relative up to a condition number near 1e6, and more beyond it
+        cond = eig[-1] / eig[0] if eig[0] > 0 else np.inf
+        ref = np.linalg.solve(dense, rhs)
+        assert np.linalg.norm(x - ref) <= (1e-8 + 1e-14 * cond) * np.linalg.norm(ref)
+        residual = np.linalg.norm(dense @ x - rhs)
+        assert residual <= 1e-10 * (eig[-1] * np.linalg.norm(x) + np.linalg.norm(rhs))
+
+    def test_singular_names_original_vertices(self):
+        # isolated unmatched vertices at the end of the vertex order, which
+        # the minimum-degree order moves to the front
+        verts = random_cloud(12, seed=21)
+        knn = knn_edges(verts[:9], 4)
+        edges = np.unique(np.concatenate([knn, knn[:, ::-1]]), axis=0)
+        corr = CorrespondenceMap(np.r_[np.arange(1, 10), 0, 0, 0])
+        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
+                               corr, verts)
+        position = np.argsort(sys_.structure.order)
+        assert np.all(position[9:] != np.arange(9, 12))
+        with pytest.raises(SingularSystemError) as exc:
+            factorize_system(1.0, 1.0, 0.0, sys_)
+        assert exc.value.vertex_blocks == (9, 10, 11)
+        assert "suspect vertex blocks [9, 10, 11]" in str(exc.value)
+
+    def test_fill_no_worse_than_per_call_colamd(self):
+        # oracle: SuperLU's default COLAMD order of the scalar columns,
+        # computed per call on the vertex-order matrix
+        template = make_strip(20, 20, 0.1, relief=0.5)
+        n = template.n_vertices
+        rng = np.random.default_rng(22)
+        corr = CorrespondenceMap(np.where(rng.random(n) < 0.8,
+                                          np.arange(1, n + 1), 0))
+        sys_ = assemble_system(template, template.edges, corr,
+                               template.vertices, rng.random(n) + 0.01,
+                               rng.random(len(template.edges)) + 0.01)
+        for mu1, mu2, beta in [(1.0, 1.0, 0.2), (2.0 ** 10, 2.0 ** 10, 0.2)]:
+            lu = factorize_system(mu1, mu2, beta, sys_)._lu
+            ref = splu(system_matrix(mu1, mu2, beta, sys_),
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            assert lu.L.nnz + lu.U.nnz <= ref.L.nnz + ref.U.nnz
+
+    def test_exact_zeros_leave_pattern_intact(self):
+        # exact-zero entries are dropped from a copy: the shared factor-order
+        # pattern is read-only, and a second factorization solves the same
+        verts = random_cloud(12, seed=23)
+        verts[:, 2] = 0.0
+        edges = knn_edges(verts, 4)
+        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
+                               CorrespondenceMap(np.arange(1, 13)), verts)
+        st_ = sys_.structure
+        assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < len(st_.factor_indices)
+        pattern = st_.factor_indptr.copy(), st_.factor_indices.copy()
+        rhs = np.random.default_rng(24).standard_normal((48, 3))
+        first = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
+        second = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(st_.factor_indptr, pattern[0])
+        np.testing.assert_array_equal(st_.factor_indices, pattern[1])
+        for arr in (st_.factor_indptr, st_.factor_indices):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        dense = system_matrix(1.0, 1.0, 0.3, sys_).toarray()
+        np.testing.assert_allclose(dense @ first, rhs, atol=1e-9)
