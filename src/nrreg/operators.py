@@ -555,21 +555,39 @@ def factorize_system(mu1, mu2, beta, sys):
         lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise _singular(exc, a, st.order) from exc
+        raise _singular(exc, a, sys) from exc
     # SuperLU can succeed numerically on structurally singular inputs; check.
     du = np.abs(lu.U.diagonal())
     if du.size == 0 or du.min() <= 1e-12 * max(du.max(), 1.0):
-        raise _singular("zero pivot", a, st.order)
+        raise _singular("zero pivot", a, sys)
     return Factorization(lu, st.scalar_order)
 
 
-def _singular(reason, a, order):
-    """SingularSystemError naming the original indices of the vertices whose
-    diagonal block of ``a`` (block k is vertex order[k]) is rank deficient."""
-    bad = sorted(order[_suspect_blocks(a)].tolist())
+def _singular(reason, a, sys):
+    """SingularSystemError naming the suspect vertices (original indices):
+    those of every component of the edge graph without a matched vertex, or,
+    when every component has one, those whose diagonal block of ``a`` (block
+    k is vertex order[k]) is rank deficient."""
+    bad = _unanchored_vertices(sys) or sorted(
+        sys.structure.order[_suspect_blocks(a)].tolist())
     return SingularSystemError(
         f"singular system: {reason}; suspect vertex blocks {bad}",
         vertex_blocks=bad)
+
+
+def _unanchored_vertices(sys):
+    """Vertices of the components of the graph of nonzero-weight edges that
+    hold no vertex of nonzero data weight: nothing pins such a component's
+    common affine motion, so the system is singular on it."""
+    from scipy.sparse.csgraph import connected_components
+
+    e = sys.edges[sys.w_smooth != 0]
+    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                          shape=(sys.n, sys.n))
+    n_comp, label = connected_components(graph, directed=False)
+    anchored = np.zeros(n_comp, bool)
+    anchored[label[sys.w_data != 0]] = True
+    return np.flatnonzero(~anchored[label]).tolist()
 
 
 def _suspect_blocks(a, tol=1e-10):

@@ -10,6 +10,7 @@ import numpy as np
 from . import correspondence as corrmod
 from .geometry import Shape, build_edge_graph, compute_vertex_normals
 from .operators import (
+    Factorization,
     SystemMatrices,
     SystemStructure,
     TransformStack,
@@ -186,22 +187,49 @@ def update_weights(X_prev, corr, sys, eps_data, eps_smooth):
     return w_data, w_smooth
 
 
-def solve_l2_baseline(sys, alpha):
+@dataclass
+class L2Factorization:
+    """The l2 baseline's factorization and the binary match mask it was built
+    for. ``register`` holds one for the length of a registration (one alpha)
+    and drops it with the registration; ``refactorized`` says whether the
+    last solve factorized."""
+
+    mask: np.ndarray | None = None
+    handle: Factorization | None = None
+    refactorized: bool = False
+
+
+def solve_l2_baseline(sys, alpha, held=None):
     """Classic quadratic baseline: min ||W(VX - U)||_F^2 + alpha ||B X||_F^2
-    with binary match weights; one symmetric factorized solve."""
-    binary = replace(sys, w_data=(sys.w_data > 0).astype(float),
-                     w_smooth=np.ones(sys.n_edges))
-    handle = factorize_system(1.0, alpha, 0.0, binary)
-    rhs = binary.V.T @ (binary.w_data[:, None] * binary.U_f)
-    return solve_X(handle, rhs)
+    with binary match weights; one symmetric factorized solve.
+
+    The matrix depends only on the structure, alpha and the binary match
+    mask; the matched targets enter only the right-hand side. So with
+    ``held`` (an L2Factorization of earlier calls at the same alpha), a mask
+    bit-for-bit equal to the held one reuses the held factorization, and
+    only the right-hand side and the solve run.
+    """
+    if held is None:
+        held = L2Factorization()
+    mask = sys.w_data > 0
+    w = mask.astype(float)
+    held.refactorized = held.mask is None or not np.array_equal(mask, held.mask)
+    if held.refactorized:
+        # drop the old factorization first: at most one is alive
+        held.mask = held.handle = None
+        binary = replace(sys, w_data=w, w_smooth=np.ones(sys.n_edges))
+        held.handle = factorize_system(1.0, alpha, 0.0, binary)
+        held.mask = mask
+    return solve_X(held.handle, sys.V.T @ (w[:, None] * sys.U_f))
 
 
-def solve_variant(variant, sys, cfg, X_init=None):
-    """Run one transform-estimation step for the requested model variant."""
+def solve_variant(variant, sys, cfg, X_init=None, held=None):
+    """Run one transform-estimation step for the requested model variant;
+    ``held`` is passed on to ``solve_l2_baseline``."""
     if X_init is None:
         X_init = TransformStack.identity(sys.n)
     if variant == "l2":
-        return solve_l2_baseline(sys, cfg.alpha), None
+        return solve_l2_baseline(sys, cfg.alpha, held), None
     return admm_solve(sys, X_init, replace(cfg, variant=variant))
 
 
@@ -271,6 +299,7 @@ def register(template, target, landmarks, cfg):
         targ = replace(targ, edges=build_edge_graph(targ))
 
     structure = SystemStructure(tmpl.vertices, edges)
+    held = L2Factorization()
     X = TransformStack.identity(tmpl.n_vertices)
     log = []
     converged = False
@@ -278,6 +307,7 @@ def register(template, target, landmarks, cfg):
     # pull on distant landmark anchors; run plain-l1 (binary) weights until
     # the closest-point acquisition phase settles, then start reweighting
     reweight_on = False
+    reweights = cfg.variant != "l2" and cfg.reweight
     for outer in range(1, cfg.outer_iters + 1):
         if not reweight_on and log and \
                 log[-1]["mean_displacement"] < cfg.reweight_start_tol:
@@ -292,17 +322,20 @@ def register(template, target, landmarks, cfg):
             raise RuntimeError(f"no correspondences at outer iteration {outer}")
         sys = assemble_system(tmpl, edges, corr, targ.vertices,
                               structure=structure)
-        if cfg.variant != "l2" and cfg.reweight and reweight_on:
+        reweighted = reweights and reweight_on
+        if reweighted:
             wd, ws = update_weights(X, corr, sys, cfg.eps_data, cfg.eps_smooth)
             sys = replace(sys, w_data=wd, w_smooth=ws)
-        X_new, state = solve_variant(cfg.variant, sys, cfg, X_init=X)
+        X_new, state = solve_variant(cfg.variant, sys, cfg, X_init=X, held=held)
         if state is not None:
             energies = evaluate_energy(X_new, sys, state.R, cfg.alpha, cfg.beta)
-            inner = state.n_iters
+            # one factorization per inner iteration
+            inner = factorizations = state.n_iters
             res = state.residuals[-1] if state.residuals else (0.0, 0.0)
         else:
             energies = evaluate_energy(X_new, sys, None, cfg.alpha, 0.0)
             inner, res = 1, (0.0, 0.0)
+            factorizations = int(held.refactorized)
         disp = float(np.mean(np.linalg.norm(X_new.apply(tmpl_v) - deformed_v,
                                             axis=1)))
         log.append({
@@ -313,11 +346,11 @@ def register(template, target, landmarks, cfg):
             "residual_history": list(state.residuals) if state else [],
             "matched": corr.n_matched(),
             "mean_displacement": disp,
+            "factorizations": factorizations,
+            "reweighted": reweighted,
         })
-        log[-1]["reweighted"] = reweight_on
         X = X_new
-        if disp < cfg.outer_tol and (reweight_on or not cfg.reweight
-                                     or cfg.variant == "l2"):
+        if disp < cfg.outer_tol and (reweight_on or not reweights):
             converged = True
             break
 

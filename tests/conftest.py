@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nrreg import Shape, SolverConfig, build_S_terms, synth_deformation
+from nrreg import (
+    CorrespondenceMap,
+    Shape,
+    SolverConfig,
+    build_S_terms,
+    synth_deformation,
+)
 from nrreg.synthesis import DeformationSpec, landmark_subset, make_strip
 
 
@@ -99,3 +105,17 @@ def bend_instance():
     cfg = SolverConfig(max_dist_factor=1.5)
     return {"template": template, "target": target, "gt": gt_positions,
             "gt_stack": gt_stack, "landmarks": landmarks, "cfg": cfg}
+
+
+def two_strips():
+    """Template of two disjoint flat 6x4 strips, the second 10 units along x,
+    with a target and landmarks on the first strip only: nothing anchors the
+    second strip (vertices 24-47), so the transform-update system is
+    singular there."""
+    strip = make_strip(6, 4, 0.1)
+    template = Shape(vertices=np.vstack([strip.vertices,
+                                         strip.vertices + [10.0, 0.0, 0.0]]),
+                     faces=np.vstack([strip.faces, strip.faces + 24]))
+    mapping = np.zeros(48, dtype=np.int64)
+    mapping[[0, 5, 11, 17, 23]] = [1, 6, 12, 18, 24]
+    return template, strip, CorrespondenceMap(mapping)

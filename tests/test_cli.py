@@ -3,12 +3,16 @@
 import json
 import logging
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nrreg import Shape, TransformStack, load_shape, save_shape
 from nrreg.cli import CliError, load_transforms, main, save_transforms
+from nrreg.correspondence import save_correspondences
+
+from conftest import two_strips
 
 
 def run(*argv):
@@ -390,6 +394,33 @@ class TestErrorBoundary:
         logged = [r for r in caplog.records if r.exc_info]
         assert len(logged) == 1 and logged[0].levelno == logging.DEBUG
         assert "band_end" in str(logged[0].exc_info[1])
+
+
+class TestSolverFaults:
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_unanchored_component_exit_one(self, variant, tmp_path, capsys):
+        template, target, landmarks = two_strips()
+        save_shape(template, tmp_path / "template.ply")
+        save_shape(target, tmp_path / "target.ply")
+        save_correspondences(landmarks, tmp_path / "landmarks.txt")
+        assert run("register", "--template", str(tmp_path / "template.ply"),
+                   "--target", str(tmp_path / "target.ply"),
+                   "--corr", str(tmp_path / "landmarks.txt"),
+                   "--variant", variant, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: solver failure: singular system: ")
+        assert f"suspect vertex blocks {list(range(24, 48))}" in err
+
+    def test_far_target_exit_one(self, instance, tmp_path, capsys):
+        target = load_shape(instance / "target.ply")
+        far = replace(target, vertices=target.vertices + [100.0, 0.0, 0.0])
+        save_shape(far, tmp_path / "far.ply")
+        assert run("register", "--template", str(instance / "template.ply"),
+                   "--target", str(tmp_path / "far.ply"),
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == \
+            "error: solver failure: no correspondences at outer iteration 1\n"
 
 
 class TestUsageErrors:

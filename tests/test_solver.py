@@ -8,6 +8,7 @@ import pytest
 
 from nrreg import (
     CorrespondenceMap,
+    SingularSystemError,
     SolverConfig,
     TransformStack,
     admm_solve,
@@ -29,7 +30,7 @@ from nrreg.synthesis import (
     perturb_outliers,
 )
 
-from conftest import random_cloud
+from conftest import random_cloud, two_strips
 
 
 def symmetric_knn(verts, k):
@@ -259,7 +260,9 @@ class TestRegister:
     def test_system_work_hoisted(self, bend_instance, monkeypatch, variant):
         # the matrix pattern and the unit-weight K_S = B^T B are built once per
         # registration, K_D once per outer iteration and a reweighted K_S once
-        # per reweighted one, however many factorizations the inner loop runs
+        # per reweighted one, however many factorizations the inner loop runs;
+        # the l2 baseline builds K_D and factorizes only at outer iterations
+        # whose binary match mask differs from the previous one
         import nrreg.operators
         import nrreg.solver
         counts = {"structure": 0, "terms": 0, "factorize": 0,
@@ -289,20 +292,81 @@ class TestRegister:
         monkeypatch.setattr(nrreg.operators, "normal_blocks", counted_blocks)
         monkeypatch.setattr(nrreg.solver, "factorize_system",
                             counter("factorize", nrreg.solver.factorize_system))
+        masks = []
+        assemble = nrreg.solver.assemble_system
+
+        def capturing(*args, **kwargs):
+            sys_ = assemble(*args, **kwargs)
+            masks.append(sys_.w_data > 0)
+            return sys_
+
+        monkeypatch.setattr(nrreg.solver, "assemble_system", capturing)
         b = bend_instance
         res = register(b["template"], b["target"], b["landmarks"],
                        replace(b["cfg"], outer_iters=6, variant=variant))
         assert counts["structure"] == 1
-        assert counts["terms"] == len(res.log) >= 4
         assert counts["unit_smooth"] == 1
         if variant == "l2":         # the baseline keeps unit weights
+            assert len(masks) == len(res.log) >= 4
+            changed = [k == 0 or not np.array_equal(masks[k], masks[k - 1])
+                       for k in range(len(masks))]
+            assert counts["terms"] == counts["factorize"] == sum(changed) \
+                < len(res.log)
+            assert [e["factorizations"] for e in res.log] == changed
             assert counts["weighted_smooth"] == 0
         else:                       # reweighting starts at outer iteration 5
+            assert counts["terms"] == len(res.log) >= 4
             assert counts["weighted_smooth"] == sum(
                 e["reweighted"] for e in res.log) == 2
-        assert counts["factorize"] == sum(e["inner"] for e in res.log)
-        if variant != "l2":
+            assert counts["factorize"] == sum(e["inner"] for e in res.log)
             assert counts["factorize"] > len(res.log)
+
+    def test_reweighted_logs_actual_updates(self, bend_run, bend_instance,
+                                            monkeypatch):
+        # dual_sparse: reweighting starts at the outer iteration after the
+        # first whose displacement is below reweight_start_tol, and stays on
+        cfg = bend_instance["cfg"]
+        started = np.cumsum([False] + [e["mean_displacement"] < cfg.reweight_start_tol
+                                       for e in bend_run.log[:-1]]) > 0
+        assert [e["reweighted"] for e in bend_run.log] == started.tolist()
+        assert 0 < started.sum() < len(bend_run.log)
+        # l2 and reweight=False never update the weights, so never log it
+        import nrreg.solver
+        updates = []
+        update = nrreg.solver.update_weights
+        monkeypatch.setattr(nrreg.solver, "update_weights",
+                            lambda *args: updates.append(1) or update(*args))
+        b = bend_instance
+        for changes in ({"variant": "l2"}, {"reweight": False}):
+            res = register(b["template"], b["target"], b["landmarks"],
+                           replace(cfg, outer_iters=6, **changes))
+            # acquisition ends before the last outer iteration
+            assert any(e["mean_displacement"] < cfg.reweight_start_tol
+                       for e in res.log[:-1])
+            assert not any(e["reweighted"] for e in res.log)
+        assert updates == []
+
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_unanchored_component_named(self, variant, monkeypatch):
+        # the second strip has no landmark and no match: its vertices, and
+        # only they, are the suspects, named by the first factorization
+        import nrreg.solver
+        calls = []
+        factorize = nrreg.solver.factorize_system
+        monkeypatch.setattr(nrreg.solver, "factorize_system",
+                            lambda *args: calls.append(1) or factorize(*args))
+        template, target, landmarks = two_strips()
+        with pytest.raises(SingularSystemError) as exc:
+            register(template, target, landmarks, SolverConfig(variant=variant))
+        assert len(calls) == 1
+        assert exc.value.vertex_blocks == tuple(range(24, 48))
+
+    def test_far_target_no_correspondences(self, bend_instance):
+        b = bend_instance
+        far = replace(b["target"], vertices=b["target"].vertices + [100.0, 0, 0])
+        with pytest.raises(RuntimeError,
+                           match="no correspondences at outer iteration 1"):
+            register(b["template"], far, None, b["cfg"])
 
     def test_transforms_in_original_frame(self, bend_run, bend_instance):
         b = bend_instance
@@ -354,6 +418,78 @@ class TestL2Baseline:
         rhs = V.T @ (w[:, None] * sys_.U_f)
         dense = np.linalg.solve(a, rhs)
         np.testing.assert_allclose(x.stacked, dense, atol=1e-8)
+
+
+class TestL2FactorizationReuse:
+    """Within one registration the l2 baseline factorizes once per binary
+    match mask: its matrix depends on nothing else that changes."""
+
+    @staticmethod
+    def l2_run(monkeypatch, template, target, landmarks, cfg):
+        """register with the l2 variant; returns the result, each outer
+        iteration's system and transforms, and the factorization count."""
+        import nrreg.solver
+        seen = {"systems": [], "transforms": [], "factorize": 0}
+        assemble = nrreg.solver.assemble_system
+        solve = nrreg.solver.solve_X
+        factorize = nrreg.solver.factorize_system
+
+        def assembling(*args, **kwargs):
+            seen["systems"].append(assemble(*args, **kwargs))
+            return seen["systems"][-1]
+
+        def solving(*args):
+            seen["transforms"].append(solve(*args))
+            return seen["transforms"][-1]
+
+        def factorizing(*args):
+            seen["factorize"] += 1
+            return factorize(*args)
+
+        monkeypatch.setattr(nrreg.solver, "assemble_system", assembling)
+        monkeypatch.setattr(nrreg.solver, "solve_X", solving)
+        monkeypatch.setattr(nrreg.solver, "factorize_system", factorizing)
+        res = register(template, target, landmarks, replace(cfg, variant="l2"))
+        monkeypatch.undo()
+        assert len(seen["systems"]) == len(seen["transforms"]) == len(res.log)
+        return res, seen
+
+    @staticmethod
+    def assert_matches_fresh_solves(seen, alpha):
+        # each outer iteration's transforms bit for bit those of a solve
+        # that factorizes its own system
+        for sys_, x in zip(seen["systems"], seen["transforms"]):
+            assert np.array_equal(solve_l2_baseline(sys_, alpha).blocks,
+                                  x.blocks)
+
+    def test_bend_transforms_match_refactorizing_run(self, bend_instance,
+                                                     monkeypatch):
+        b = bend_instance
+        res, seen = self.l2_run(monkeypatch, b["template"], b["target"],
+                                b["landmarks"], b["cfg"])
+        assert seen["factorize"] == sum(e["factorizations"] for e in res.log) \
+            < len(res.log)
+        self.assert_matches_fresh_solves(seen, b["cfg"].alpha)
+
+    def test_same_count_new_mask_refactorizes(self, monkeypatch):
+        # masks A, B, B, A with one unmatched vertex each: equal match counts,
+        # three different matrices in a row
+        import nrreg.correspondence
+        template = make_strip(8, 4, 0.1, relief=0.5)
+        n = template.n_vertices
+        target = replace(template, vertices=template.vertices
+                         + random_cloud(n, seed=30, scale=0.01))
+        a, b = np.arange(1, n + 1), np.arange(1, n + 1)
+        a[3] = b[20] = 0
+        script = iter([a, b, b, a])
+        monkeypatch.setattr(nrreg.correspondence, "closest_point_refresh",
+                            lambda *args: CorrespondenceMap(next(script)))
+        res, seen = self.l2_run(monkeypatch, template, target, None,
+                                SolverConfig(outer_iters=4, outer_tol=0.0))
+        assert [e["matched"] for e in res.log] == [n - 1] * 4
+        assert [e["factorizations"] for e in res.log] == [1, 1, 0, 1]
+        assert seen["factorize"] == 3
+        self.assert_matches_fresh_solves(seen, 1.0)
 
 
 class TestVariants:
