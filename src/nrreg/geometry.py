@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -217,25 +217,23 @@ def with_normals(shape):
 def load_shape(path, fmt=None):
     """Load an OBJ or PLY file; format inferred from the extension by default."""
     path = str(path)
-    if fmt is None:
-        fmt = "ply" if path.lower().endswith(".ply") else "obj"
-    if fmt == "obj":
-        return _load_obj(path)
-    if fmt == "ply":
-        return _load_ply(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _load_ply(path) if _mesh_format(path, fmt) == "ply" else _load_obj(path)
 
 
 def save_shape(shape, path, fmt=None, binary=False):
     path = str(path)
-    if fmt is None:
-        fmt = "ply" if path.lower().endswith(".ply") else "obj"
-    if fmt == "obj":
-        _save_obj(shape, path)
-    elif fmt == "ply":
+    if _mesh_format(path, fmt) == "ply":
         _save_ply(shape, path, binary=binary)
     else:
+        _save_obj(shape, path)
+
+
+def _mesh_format(path, fmt):
+    if fmt is None:
+        fmt = "ply" if path.lower().endswith(".ply") else "obj"
+    if fmt not in ("obj", "ply"):
         raise ValueError(f"unknown format {fmt!r}")
+    return fmt
 
 
 def _load_obj(path):
@@ -272,21 +270,22 @@ def _load_obj(path):
 
 def _save_obj(shape, path):
     with open(path, "w") as fh:
-        for v in shape.vertices:
-            fh.write("v %.9g %.9g %.9g\n" % tuple(v))
+        fh.write(_text_rows("v %.9g %.9g %.9g\n", shape.vertices))
         if shape.faces is not None:
-            for f in shape.faces:
-                fh.write("f %d %d %d\n" % (f[0] + 1, f[1] + 1, f[2] + 1))
+            fh.write(_text_rows("f %d %d %d\n", shape.faces + 1))
 
 
+def _text_rows(fmt, rows):
+    """Each row of an array printed with ``fmt``, one line each, as one string."""
+    return (fmt * len(rows)) % tuple(chain.from_iterable(rows.tolist()))
+
+
+# the scalar type names of the PLY format, both spellings, as numpy codes
 _PLY_TYPES = {
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
-    "uchar": ("B", 1), "uint8": ("B", 1),
-    "char": ("b", 1), "int8": ("b", 1),
-    "short": ("h", 2), "ushort": ("H", 2),
-    "int": ("i", 4), "int32": ("i", 4),
-    "uint": ("I", 4), "uint32": ("I", 4),
+    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+    "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
+    "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
+    "float": "f4", "float32": "f4", "double": "f8", "float64": "f8",
 }
 
 
@@ -300,169 +299,180 @@ def _load_ply(path):
     header_lines = data[:header_end].decode("ascii", "replace").splitlines()
     if not header_lines or header_lines[0].strip() != "ply":
         raise MeshParseError(path, 1, "not a PLY file")
-    fmt = None
-    elements = []  # (name, count, [(prop_name, type, list_count_type|None)])
+    fmt, elements = None, []  # elements: (name, count, [(prop, code, count code|None)])
     for line_no, line in enumerate(header_lines[1:], 2):
-        parts = line.split()
-        if not parts or parts[0] == "comment":
-            continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
-        elif parts[0] == "property":
-            if not elements:
-                raise MeshParseError(path, line_no, "property before element")
-            if parts[1] == "list":
-                elements[-1][2].append((parts[4], parts[3], parts[2]))
-            else:
-                elements[-1][2].append((parts[2], parts[1], None))
-        elif parts[0] == "end_header":
-            break
-    if fmt not in ("ascii", "binary_little_endian"):
+        parts = line.split() or [""]
+        if parts[0] == "property" and not elements:
+            raise MeshParseError(path, line_no, "property before element")
+        try:
+            if parts[0] == "format":
+                fmt = parts[1]
+            elif parts[0] == "element":
+                elements.append((parts[1], int(parts[2]), []))
+                if elements[-1][1] < 0:
+                    raise ValueError("negative element count")
+            elif parts[0] == "property" and parts[1] == "list":
+                elements[-1][2].append((parts[4], _PLY_TYPES[parts[3]],
+                                        _PLY_TYPES[parts[2]]))
+            elif parts[0] == "property":
+                elements[-1][2].append((parts[2], _PLY_TYPES[parts[1]], None))
+        except KeyError as exc:
+            raise MeshParseError(path, line_no,
+                                 f"unknown PLY type {exc.args[0]!r}") from None
+        except (IndexError, ValueError):
+            raise MeshParseError(path, line_no,
+                                 f"malformed header line {line.strip()!r}") from None
+    # one signature for both readers; binary errors name line 0, not a row's
+    read = {"ascii": _read_ascii_ply, "binary_little_endian": _read_binary_ply}.get(fmt)
+    if read is None:
         raise MeshParseError(path, 0, f"unsupported PLY format {fmt!r}")
-
-    verts = faces = colors = None
-    if fmt == "ascii":
-        body = data[header_end:].decode("ascii", "replace").splitlines()
-        cursor = 0
-        base_line = len(header_lines)
-        for name, count, props in elements:
-            rows = body[cursor:cursor + count]
-            if len(rows) < count:
-                raise MeshParseError(path, base_line + cursor + len(rows) + 1,
-                                     f"truncated element {name!r}")
-            if name == "vertex":
-                verts, colors = _parse_ascii_vertices(path, rows, props,
-                                                     base_line + cursor)
-            elif name == "face":
-                faces = _parse_ascii_faces(path, rows, base_line + cursor)
-            cursor += count
-    else:
-        off = header_end
-        for name, count, props in elements:
-            if name == "vertex":
-                verts, colors, off = _parse_binary_vertices(path, data, off, count, props)
-            elif name == "face":
-                faces, off = _parse_binary_faces(path, data, off, count, props)
-            else:
-                row = sum(_PLY_TYPES[t][1] for _, t, lc in props if lc is None)
-                off += row * count
+    verts, colors, faces = read(path, data, header_end, len(header_lines), elements)
     if verts is None or len(verts) == 0:
         raise MeshParseError(path, 0, "no vertices found")
     return Shape(vertices=verts, faces=faces, colors=colors)
 
 
-def _parse_ascii_vertices(path, rows, props, base_line):
+def _vertex_columns(path, line_no, props):
+    """Positions of x, y, z and of red, green, blue (or None) among props."""
     names = [p[0] for p in props]
-    try:
-        xi, yi, zi = names.index("x"), names.index("y"), names.index("z")
-    except ValueError:
-        raise MeshParseError(path, base_line, "vertex element lacks x/y/z") from None
-    cidx = None
-    if all(c in names for c in ("red", "green", "blue")):
-        cidx = [names.index(c) for c in ("red", "green", "blue")]
-    verts = np.empty((len(rows), 3))
-    colors = np.empty((len(rows), 3), np.uint8) if cidx else None
-    for r, row in enumerate(rows):
-        parts = row.split()
-        if len(parts) < len(names):
-            raise MeshParseError(path, base_line + r + 1, "truncated vertex row")
-        try:
-            verts[r] = [float(parts[xi]), float(parts[yi]), float(parts[zi])]
-            if cidx:
-                colors[r] = [int(parts[i]) for i in cidx]
-        except ValueError:
-            raise MeshParseError(path, base_line + r + 1, "bad vertex value") from None
-    return verts, colors
+    if not {"x", "y", "z"} <= set(names):
+        raise MeshParseError(path, line_no, "vertex element lacks x/y/z")
+    rgb = [names.index(c) for c in ("red", "green", "blue") if c in names]
+    return [names.index(c) for c in "xyz"], rgb if len(rgb) == 3 else None
 
 
-def _parse_ascii_faces(path, rows, base_line):
-    faces = []
-    for r, row in enumerate(rows):
-        parts = row.split()
-        try:
-            n = int(parts[0])
-            idx = [int(p) for p in parts[1:1 + n]]
-        except (ValueError, IndexError):
-            raise MeshParseError(path, base_line + r + 1, "bad face row") from None
-        if len(idx) != n or n != 3:
-            raise MeshParseError(path, base_line + r + 1, "only triangle faces supported")
-        faces.append(idx)
-    return np.array(faces, dtype=np.int64) if faces else None
+def _vertex_list(path, line_no, props):
+    """Position of the face element's vertex index list: its first list."""
+    lists = [i for i, p in enumerate(props) if p[2]]
+    if not lists:
+        raise MeshParseError(path, line_no, "face element lacks a vertex list")
+    return lists[0]
 
 
-def _parse_binary_vertices(path, data, off, count, props):
-    fmt_chars, names = [], []
-    for name, typ, list_count in props:
-        if list_count is not None:
-            raise MeshParseError(path, 0, "list property on vertex element")
-        fmt_chars.append(_PLY_TYPES[typ][0])
-        names.append(name)
-    st = struct.Struct("<" + "".join(fmt_chars))
-    end = off + st.size * count
-    if end > len(data):
-        raise MeshParseError(path, 0, "truncated binary vertex data")
-    raw = [st.unpack_from(data, off + i * st.size) for i in range(count)]
-    cols = {n: [row[j] for row in raw] for j, n in enumerate(names)}
-    try:
-        verts = np.column_stack([cols["x"], cols["y"], cols["z"]]).astype(np.float64)
-    except KeyError:
-        raise MeshParseError(path, 0, "vertex element lacks x/y/z") from None
-    colors = None
-    if all(c in cols for c in ("red", "green", "blue")):
-        colors = np.column_stack([cols["red"], cols["green"], cols["blue"]]).astype(np.uint8)
-    return verts, colors, end
+def _record_dtype(path, name, props):
+    """An element's little-endian binary record: scalar property i is field
+    ``str(i)``, the face's vertex list fields ``count`` and ``indices`` (3)."""
+    at = _vertex_list(path, 0, props) if name == "face" else None
+    fields = []
+    for i, (_, code, count_code) in enumerate(props):
+        if count_code is None:
+            fields.append((str(i), "<" + code))
+        elif i == at:
+            fields += [("count", "<" + count_code), ("indices", "<" + code, 3)]
+        else:
+            raise MeshParseError(path, 0, f"list property on {name} element")
+    return np.dtype(fields)
 
 
-def _parse_binary_faces(path, data, off, count, props):
-    (name, typ, list_count), = props
-    cchar, csize = _PLY_TYPES[list_count]
-    ichar, isize = _PLY_TYPES[typ]
-    faces = []
-    for _ in range(count):
-        if off + csize > len(data):
-            raise MeshParseError(path, 0, "truncated binary face data")
-        n = struct.unpack_from("<" + cchar, data, off)[0]
-        off += csize
-        if n != 3:
+def _read_binary_ply(path, data, offset, n_header, elements):
+    verts = colors = faces = None
+    for name, count, props in elements:
+        rec = _record_dtype(path, name, props)
+        block = memoryview(data)[offset:offset + count * rec.itemsize]
+        offset += count * rec.itemsize
+        if name == "vertex":
+            xyz, rgb = _vertex_columns(path, 0, props)
+        elif name != "face":
+            continue
+        rows = np.frombuffer(block, rec, len(block) // rec.itemsize)
+        # checked first: the rows after one that is no triangle are misaligned
+        if name == "face" and np.any(rows["count"] != 3):
             raise MeshParseError(path, 0, "only triangle faces supported")
-        if off + n * isize > len(data):
-            raise MeshParseError(path, 0, "truncated binary face data")
-        faces.append(struct.unpack_from("<%d%s" % (n, ichar), data, off))
-        off += n * isize
-    return (np.array(faces, dtype=np.int64) if faces else None), off
+        if len(rows) < count:
+            raise MeshParseError(path, 0, f"truncated binary {name} data")
+        if name == "vertex":
+            verts = np.column_stack([rows[str(i)] for i in xyz]).astype(np.float64)
+            if rgb:
+                colors = np.column_stack([rows[str(i)] for i in rgb]).astype(np.uint8)
+        elif count:
+            faces = rows["indices"].astype(np.int64)
+    return verts, colors, faces
+
+
+def _read_ascii_ply(path, data, offset, n_header, elements):
+    ends = offset + np.flatnonzero(np.frombuffer(data, np.uint8, offset=offset) == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))  # the last line has no newline
+    line_starts = np.r_[offset, ends + 1]
+    verts = colors = faces = None
+    cursor = 0
+    for name, count, props in elements:
+        if cursor + count > len(ends):
+            raise MeshParseError(path, n_header + len(ends) + 1,
+                                 f"truncated element {name!r}")
+        line_no = n_header + cursor  # the line before the element's rows
+        begin, row_ends = line_starts[cursor], ends[cursor:cursor + count]
+        cursor += count
+        if name not in ("vertex", "face"):
+            continue
+        # the element's tokens and each row's [first, stop) range of them
+        block = data[begin:row_ends[-1] if count else begin]
+        chars = np.frombuffer(block, np.uint8)
+        space = (chars == 32) | ((chars >= 9) & (chars <= 13))  # as bytes.split()
+        bounds = np.searchsorted(np.flatnonzero(~space & np.r_[True, space[:-1]]),
+                                 np.r_[0, row_ends - begin])
+        words = np.array(block.split(), dtype=object)
+        first, stop = bounds[:-1], bounds[1:]
+        if name == "vertex":
+            xyz, rgb = _vertex_columns(path, line_no, props)
+            short = min(np.flatnonzero(stop - first < len(props)), default=count)
+            verts = _parse_rows(words[first[:short, None] + xyz], np.float64)
+            if rgb:  # colors are integers in 0-255
+                colors = _parse_rows(words[first[:len(verts), None] + rgb], np.int64)
+                fits = np.append(np.all((colors >= 0) & (colors <= 255), axis=1), False)
+                colors = colors[:np.argmin(fits)].astype(np.uint8)
+            good = len(verts) if colors is None else len(colors)
+            if good < count:
+                raise MeshParseError(path, line_no + good + 1, "truncated vertex row"
+                                     if good == short else "bad vertex value")
+        else:
+            at = _vertex_list(path, line_no, props)
+            short = min(np.flatnonzero(stop - first < at + 4), default=count)
+            rows = _parse_rows(words[first[:short, None] + at + np.arange(4)], np.int64)
+            bad = min(np.flatnonzero(rows[:, 0] != 3), default=len(rows))
+            if bad < count:
+                # no triangle: a row that parses or is cut short after its count
+                cut = bad == short and stop[bad] > first[bad] + at
+                message = ("only triangle faces supported" if bad < len(rows) or cut
+                           else "bad face row")
+                raise MeshParseError(path, line_no + bad + 1, message)
+            faces = rows[:, 1:] if count else None
+        del words, block, chars, space  # before the next element's tokens exist
+    return verts, colors, faces
+
+
+def _parse_rows(words, dtype):
+    """Rows of byte tokens as ``dtype`` numbers, up to the first that fails."""
+    try:
+        return words.astype(dtype)
+    except (ValueError, OverflowError):
+        for r, row in enumerate(words):  # only to find the row to report
+            try:
+                row.astype(dtype)
+            except (ValueError, OverflowError):
+                return words[:r].astype(dtype)
 
 
 def _save_ply(shape, path, binary=False):
-    n = shape.n_vertices
-    has_color = shape.colors is not None
-    nf = 0 if shape.faces is None else len(shape.faces)
-    header = ["ply",
-              "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-              f"element vertex {n}",
-              "property double x", "property double y", "property double z"]
-    if has_color:
-        header += ["property uchar red", "property uchar green", "property uchar blue"]
-    if nf:
-        header += [f"element face {nf}", "property list uchar int vertex_indices"]
-    header.append("end_header")
+    props = [(c, "double") for c in "xyz"]
+    columns = list(shape.vertices.T)
+    if shape.colors is not None:
+        if not np.array_equal(shape.colors.astype(np.uint8), shape.colors):
+            raise ValueError("colors must be integers in 0-255")
+        props += [(c, "uchar") for c in ("red", "green", "blue")]
+        columns += list(shape.colors.T)
+    faces = np.zeros((0, 3), np.int64) if shape.faces is None else shape.faces
+    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+              f"element vertex {shape.n_vertices}",
+              *(f"property {typ} {name}" for name, typ in props)]
+    if len(faces):
+        header += [f"element face {len(faces)}", "property list uchar int vertex_indices"]
+    vertices = np.rec.fromarrays(columns, [(n, "<" + _PLY_TYPES[t]) for n, t in props])
     if binary:
-        with open(path, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            for i in range(n):
-                fh.write(struct.pack("<3d", *shape.vertices[i]))
-                if has_color:
-                    fh.write(struct.pack("<3B", *shape.colors[i]))
-            for i in range(nf):
-                fh.write(struct.pack("<B3i", 3, *shape.faces[i]))
+        body = vertices.tobytes() + np.rec.fromarrays(
+            [np.full(len(faces), 3), faces], "u1, (3,)<i4").tobytes()
     else:
-        with open(path, "w") as fh:
-            fh.write("\n".join(header) + "\n")
-            for i in range(n):
-                fh.write("%.9g %.9g %.9g" % tuple(shape.vertices[i]))
-                if has_color:
-                    fh.write(" %d %d %d" % tuple(shape.colors[i]))
-                fh.write("\n")
-            for i in range(nf):
-                fh.write("3 %d %d %d\n" % tuple(shape.faces[i]))
+        fmt = "%.9g %.9g %.9g" + " %d %d %d" * (shape.colors is not None) + "\n"
+        body = (_text_rows(fmt, vertices) + _text_rows("3 %d %d %d\n", faces)).encode()
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{h}\n" for h in header + ["end_header"]).encode() + body)

@@ -179,28 +179,17 @@ def make_strip(nx=20, ny=4, spacing=0.1, relief=0.0):
     z = relief * spacing * np.sin(2 * np.pi * gx / (3.1 * spacing) + 0.8) \
         * np.cos(2 * np.pi * gy / (2.3 * spacing) + 0.3) if relief else np.zeros_like(gx)
     verts = np.column_stack([gx.ravel(), gy.ravel(), z.ravel()])
-    faces = []
-    for i in range(nx - 2 + 1):
-        for j in range(ny - 2 + 1):
-            a = i * ny + j           # quad corners: a, a+1, b, b+1
-            b = (i + 1) * ny + j
-            diag_a = (i + j) % 2 == 0    # diagonal through a .. b+1
-            # corner quads: keep the diagonal that touches the mesh corner
-            if i == 0 and j == 0:
-                diag_a = True
-            elif i == nx - 2 and j == 0:
-                diag_a = False
-            elif i == 0 and j == ny - 2:
-                diag_a = False
-            elif i == nx - 2 and j == ny - 2:
-                diag_a = True
-            if diag_a:
-                faces.append([a, b, b + 1])
-                faces.append([a, b + 1, a + 1])
-            else:
-                faces.append([a, b, a + 1])
-                faces.append([b, b + 1, a + 1])
-    return Shape(vertices=verts, faces=np.array(faces, dtype=np.int64))
+    # quads (i, j), corners a, a+1, b, b+1, and their two faces in row-major
+    # order, which fixes the summation order of vertex normals
+    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    a, b = i * ny + j, (i + 1) * ny + j
+    diag_a = (i + j) % 2 == 0    # diagonal through a .. b+1
+    # corner quads keep the diagonal that touches the mesh corner; set in
+    # reverse so (0, 0) wins where one quad holds several corners
+    diag_a[-1, -1], diag_a[0, -1], diag_a[-1, 0], diag_a[0, 0] = True, False, False, True
+    faces = np.where(diag_a[..., None], np.stack([a, b, b + 1, a, b + 1, a + 1], -1),
+                     np.stack([a, b, a + 1, b, b + 1, a + 1], -1))
+    return Shape(vertices=verts, faces=faces.reshape(-1, 3))
 
 
 def landmark_subset(n, fraction=0.1, seed=0):

@@ -1,5 +1,7 @@
 """Shared fixtures: small meshes, random instances and the bend benchmark."""
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -119,3 +121,116 @@ def two_strips():
     mapping = np.zeros(48, dtype=np.int64)
     mapping[[0, 5, 11, 17, 23]] = [1, 6, 12, 18, 24]
     return template, strip, CorrespondenceMap(mapping)
+
+
+def make_strip_faces_loop(nx, ny):
+    """Reference strip faces: the per-quad loop ``make_strip`` once ran, in
+    its face order (the order fixes the summation order of vertex normals)."""
+    faces = []
+    for i in range(nx - 2 + 1):
+        for j in range(ny - 2 + 1):
+            a = i * ny + j           # quad corners: a, a+1, b, b+1
+            b = (i + 1) * ny + j
+            diag_a = (i + j) % 2 == 0    # diagonal through a .. b+1
+            # corner quads: keep the diagonal that touches the mesh corner
+            if i == 0 and j == 0:
+                diag_a = True
+            elif i == nx - 2 and j == 0:
+                diag_a = False
+            elif i == 0 and j == ny - 2:
+                diag_a = False
+            elif i == nx - 2 and j == ny - 2:
+                diag_a = True
+            if diag_a:
+                faces.append([a, b, b + 1])
+                faces.append([a, b + 1, a + 1])
+            else:
+                faces.append([a, b, a + 1])
+                faces.append([b, b + 1, a + 1])
+    return np.array(faces, dtype=np.int64)
+
+
+def ply_header(fmt, *lines):
+    """A PLY header: magic, ``format <fmt> 1.0``, the given lines, end_header."""
+    return "".join(f"{ln}\n" for ln in ("ply", f"format {fmt} 1.0", *lines,
+                                         "end_header")).encode("ascii")
+
+
+XYZ_DOUBLE = ("property double x", "property double y", "property double z")
+XYZ_FLOAT = ("property float x", "property float y", "property float z")
+TRIANGLE_LIST = "property list uchar int vertex_indices"
+ASCII_TRIANGLE = ply_header("ascii", "element vertex 3", *XYZ_DOUBLE,
+                            "element face 2", TRIANGLE_LIST)
+BINARY_TRIANGLE = ply_header("binary_little_endian", "element vertex 3",
+                             *XYZ_FLOAT, "element face 2", TRIANGLE_LIST) \
+    + struct.pack("<9f", 0, 0, 0, 1, 0, 0, 0, 1, 0)
+
+# malformed PLY files and the "line: message" that load_shape reports for
+# each, after the path; ASCII body errors name the offending row's line,
+# binary body errors line 0
+PLY_FAULTS = {
+    "missing-end-header": (b"ply\nformat ascii 1.0\nelement vertex 1\n",
+                           "0: missing end_header"),
+    "not-ply": (b"plyx\nformat ascii 1.0\nend_header\n", "1: not a PLY file"),
+    "property-before-element": (ply_header("ascii", "property double x"),
+                                "3: property before element"),
+    "big-endian": (ply_header("binary_big_endian", "element vertex 1", *XYZ_DOUBLE)
+                   + bytes(24), "0: unsupported PLY format 'binary_big_endian'"),
+    "no-vertices": (ply_header("ascii", "element vertex 0", *XYZ_DOUBLE),
+                    "0: no vertices found"),
+    "truncated-element": (ply_header("ascii", "element vertex 3", *XYZ_DOUBLE)
+                          + b"0 0 0\n1 1 1\n", "10: truncated element 'vertex'"),
+    "no-xyz": (ply_header("ascii", "element vertex 1", "property double x",
+                          "property double y", "property double w") + b"0 0 0\n",
+               "7: vertex element lacks x/y/z"),
+    "short-vertex-row": (ply_header("ascii", "element vertex 3", *XYZ_DOUBLE)
+                         + b"0 0 0\n1 1\n2 2 2\n", "9: truncated vertex row"),
+    "bad-vertex-value": (ply_header("ascii", "element vertex 3", *XYZ_DOUBLE)
+                         + b"0 0 0\n1 a 1\n2 2 2\n", "9: bad vertex value"),
+    "bad-face-row": (ASCII_TRIANGLE + b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 x\n",
+                     "14: bad face row"),
+    "quad-face": (ASCII_TRIANGLE + b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n4 0 1 2 2\n",
+                  "14: only triangle faces supported"),
+    "binary-vertex-list": (ply_header("binary_little_endian", "element vertex 1",
+                                      *XYZ_FLOAT, "property list uchar int foo")
+                           + struct.pack("<3fBi", 0, 0, 0, 1, 5),
+                           "0: list property on vertex element"),
+    "truncated-binary-vertices": (ply_header("binary_little_endian",
+                                             "element vertex 3", *XYZ_FLOAT)
+                                  + struct.pack("<6f", 0, 0, 0, 1, 0, 0),
+                                  "0: truncated binary vertex data"),
+    "truncated-binary-faces": (BINARY_TRIANGLE + struct.pack("<B3iB2i", 3, 0, 1, 2,
+                                                             3, 0, 1),
+                               "0: truncated binary face data"),
+    "binary-quad-face": (BINARY_TRIANGLE + struct.pack("<B3iB4i", 3, 0, 1, 2,
+                                                       4, 0, 1, 2, 2),
+                         "0: only triangle faces supported"),
+    "short-face-row": (ASCII_TRIANGLE + b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n",
+                       "14: only triangle faces supported"),
+    "empty-face-row": (ASCII_TRIANGLE + b"0 0 0\n1 0 0\n0 1 0\n\n3 0 1 2\n",
+                       "13: bad face row"),
+    # faults that escaped as tracebacks or were misread: each names its
+    # header line, or its element
+    "color-out-of-range": (ply_header("ascii", "element vertex 2", *XYZ_DOUBLE,
+                                      "property uchar red", "property uchar green",
+                                      "property uchar blue")
+                           + b"0 0 0 1 2 3\n1 1 1 4 300 6\n", "12: bad vertex value"),
+    "negative-count": (ply_header("ascii", "element vertex -1", *XYZ_DOUBLE),
+                       "3: malformed header line 'element vertex -1'"),
+    "face-without-list": (ply_header("binary_little_endian", "element vertex 3",
+                                     *XYZ_FLOAT, "element face 1", "property int a")
+                          + struct.pack("<9fi", 0, 0, 0, 1, 0, 0, 0, 1, 0, 7),
+                          "0: face element lacks a vertex list"),
+    "unknown-type": (ply_header("binary_little_endian", "element vertex 1",
+                                *XYZ_FLOAT, "property int64 q")
+                     + struct.pack("<3fq", 0, 0, 0, 7),
+                     "7: unknown PLY type 'int64'"),
+    "element-count-word": (ply_header("ascii", "element vertex three", *XYZ_DOUBLE)
+                           + b"0 0 0\n1 0 0\n0 1 0\n",
+                           "3: malformed header line 'element vertex three'"),
+    "polyline-list": (ply_header("binary_little_endian", "element vertex 3",
+                                 *XYZ_FLOAT, "element polyline 1",
+                                 "property list uchar int idx")
+                      + struct.pack("<9fB3i", 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 0, 1, 2),
+                      "0: list property on polyline element"),
+}

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from nrreg import Shape, TransformStack, load_shape, save_shape
 from nrreg.cli import CliError, load_transforms, main, save_transforms
 from nrreg.correspondence import save_correspondences
 
-from conftest import two_strips
+from conftest import PLY_FAULTS, two_strips
 
 
 def run(*argv):
@@ -183,6 +184,28 @@ class TestEvaluateCommand:
         assert code == 0
         report = json.loads((out / "error_report.json").read_text())
         assert report["mean"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_binary_template_with_extra_properties(self, instance, tmp_path):
+        # an int16 vertex property and a scalar face property are read and
+        # ignored: the report matches the one for the plain template
+        shape = load_shape(instance / "template.ply")
+        header = ("ply\nformat binary_little_endian 1.0\n"
+                  f"element vertex {shape.n_vertices}\nproperty double x\n"
+                  "property double y\nproperty double z\nproperty int16 q\n"
+                  f"element face {len(shape.faces)}\nproperty uchar flags\n"
+                  "property list uchar int vertex_indices\nend_header\n")
+        body = b"".join(struct.pack("<3dh", *v, -i) for i, v in enumerate(shape.vertices))
+        body += b"".join(struct.pack("<BB3i", 1, 3, *f) for f in shape.faces)
+        (tmp_path / "extra.ply").write_bytes(header.encode("ascii") + body)
+        reports = []
+        for template in (instance / "template.ply", tmp_path / "extra.ply"):
+            out = tmp_path / template.stem
+            assert run("evaluate", "--template", str(template),
+                       "--ground-truth", str(instance / "target.ply"),
+                       "--transforms", str(instance / "gt_transforms.txt"),
+                       "--out", str(out)) == 0
+            reports.append((out / "error_report.json").read_text())
+        assert reports[0] == reports[1]
 
 
 class TestFitResidualsCommand:
@@ -359,6 +382,10 @@ def error_case_argv(case, inst, tmp):
     if case == "landmark-fraction":
         return ["synth", "--nx", "4", "--ny", "3", "--landmark-fraction", "2",
                 "--out", out]
+    if case.startswith("ply-"):
+        (tmp / "bad.ply").write_bytes(PLY_FAULTS[case[4:]][0])
+        return ["evaluate", "--template", str(tmp / "bad.ply"), "--ground-truth",
+                g, "--transforms", gt, "--out", out]
     if case == "replay-no-args":
         (tmp / "manifest.json").write_text(json.dumps({"command": "register"}))
         return ["replay", "--manifest", str(tmp / "manifest.json")]
@@ -377,6 +404,9 @@ ERROR_CAUSES = {
     "one-vertex-strip": "a strip needs nx >= 2 and ny >= 2",
     "landmark-fraction": "landmark fraction must be in (0, 1]",
     "replay-no-args": "not a run manifest",
+    "ply-unknown-type": "bad.ply:" + PLY_FAULTS["unknown-type"][1],
+    "ply-element-count-word": "bad.ply:" + PLY_FAULTS["element-count-word"][1],
+    "ply-polyline-list": "bad.ply:" + PLY_FAULTS["polyline-list"][1],
 }
 
 

@@ -1,5 +1,7 @@
 """Shape I/O, edge graphs, edge statistics and vertex normals."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,35 @@ from nrreg.geometry import (
 )
 
 from conftest import (
+    PLY_FAULTS,
+    TRIANGLE_LIST,
+    XYZ_FLOAT,
     brute_force_closest,
     brute_force_knn,
     edges_from_faces_row_unique,
+    ply_header,
     random_cloud,
     tie_rich_clouds,
     unique_rows_undirected,
 )
+from nrreg.synthesis import make_strip
+
+# the 16 scalar type names of the PLY spec and their struct codes
+PLY_SPEC_TYPES = {"char": "b", "int8": "b", "uchar": "B", "uint8": "B",
+                  "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
+                  "int": "i", "int32": "i", "uint": "I", "uint32": "I",
+                  "float": "f", "float32": "f", "double": "d", "float64": "d"}
+
+
+def colored_mesh(faces=True, colors=True):
+    """A small shape with awkward coordinates, optionally faceless or
+    uncolored."""
+    strip = make_strip(5, 4, 0.37, relief=0.8)
+    rgb = np.random.default_rng(4).integers(0, 256, (20, 3), dtype=np.uint8)
+    return Shape(vertices=strip.vertices * [1.0, -3.0, 1e-4] + [0.0, 1e5, 0.0],
+                 faces=strip.faces if faces else None,
+                 colors=rgb if colors else None)
+
 
 # six targets equidistant from the origin: the kd-tree's candidate list for
 # the origin ends on a tie, so the query is resolved exhaustively
@@ -71,8 +95,155 @@ class TestLoadShape:
         with pytest.raises(MeshParseError, match="no vertices"):
             load_shape(path)
 
+    @pytest.mark.parametrize("case", PLY_FAULTS)
+    def test_ply_fault_names_path_and_line(self, tmp_path, case):
+        content, where = PLY_FAULTS[case]
+        path = tmp_path / "bad.ply"
+        path.write_bytes(content)
+        with pytest.raises(MeshParseError) as err:
+            load_shape(path)
+        assert str(err.value) == f"{path}:{where}"
+        assert err.value.line_no == int(where.split(":")[0])
+
+    @pytest.mark.parametrize("name", PLY_SPEC_TYPES)
+    def test_binary_ply_spec_type_names(self, tmp_path, name):
+        code = PLY_SPEC_TYPES[name]
+        path = tmp_path / "t.ply"
+        path.write_bytes(
+            ply_header("binary_little_endian", "element vertex 2",
+                       f"property {name} extra", f"property {name} x",
+                       f"property {name} y", f"property {name} z")
+            + struct.pack(f"<8{code}", 9, 0, 1, 2, 9, 3, 4, 5))
+        shape = load_shape(path)
+        assert shape.vertices.dtype == np.float64
+        assert shape.vertices.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("flags_first", [False, True])
+    def test_ascii_ply_irregular_rows(self, tmp_path, flags_first):
+        # tabs, CR-LF, extra tokens, a second face list, a scalar face
+        # property, an element after the faces and no final newline
+        face_props = [TRIANGLE_LIST, "property uchar flags"]
+        faces = [b"3 0 1 2 5 6 0 0 1 0 1 1", b"3 2 1 0 0 0"]
+        if flags_first:
+            face_props.reverse()
+            faces = [b"5 3 0 1 2 6 0 0 1 0 1 1", b"0 3 2 1 0 0"]
+        path = tmp_path / "odd.ply"
+        path.write_bytes(
+            ply_header("ascii", "comment made by hand", "element vertex 3",
+                       "property float x", "property float y", "property float z",
+                       "property float nx", "property uchar red",
+                       "property uchar green", "property uchar blue",
+                       "element face 2", *face_props,
+                       "property list uchar float texcoord", "element note 1",
+                       "property list uchar int ids")
+            + b"0 0 0 9 1 2 3 extra\n1\t0  0 9 4 5 6\r\n 0 1 0 9 7 8 9\n"
+            + b"\n".join(faces) + b"\n2 7 8")
+        shape = load_shape(path)
+        assert shape.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        assert shape.colors.tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert shape.faces.tolist() == [[0, 1, 2], [2, 1, 0]]
+
+    def test_binary_face_extra_scalar_ignored(self, tmp_path):
+        path = tmp_path / "flags.ply"
+        path.write_bytes(
+            ply_header("binary_little_endian", "element vertex 3", *XYZ_FLOAT,
+                       "element face 2", "property uchar flags", TRIANGLE_LIST,
+                       "property ushort material")
+            + struct.pack("<9f", 0, 0, 0, 1, 0, 0, 0, 1, 0)
+            + struct.pack("<BB3iH", 7, 3, 0, 1, 2, 1)
+            + struct.pack("<BB3iH", 8, 3, 2, 1, 0, 2))
+        shape = load_shape(path)
+        assert shape.faces.tolist() == [[0, 1, 2], [2, 1, 0]]
+
+    def test_binary_ply_skips_other_elements(self, tmp_path):
+        path = tmp_path / "extra.ply"
+        path.write_bytes(
+            ply_header("binary_little_endian", "element camera 2",
+                       "property double f", "element vertex 3", *XYZ_FLOAT,
+                       "element face 1", TRIANGLE_LIST, "element edge 1",
+                       "property int a", "property int b")
+            + struct.pack("<2d", 1.5, 2.5)
+            + struct.pack("<9fB3i2i", 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 0, 1, 2, 0, 1))
+        shape = load_shape(path)
+        assert shape.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        assert shape.faces.tolist() == [[0, 1, 2]]
+
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("colors", [False, True])
+    @pytest.mark.parametrize("faces", [False, True])
+    @pytest.mark.parametrize("fmt", ["ascii.ply", "binary.ply", "obj"])
+    def test_resave_byte_exact(self, tmp_path, fmt, faces, colors):
+        shape = colored_mesh(faces, colors)
+        binary = fmt == "binary.ply"
+        first, second = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        save_shape(shape, first, binary=binary)
+        back = load_shape(first)
+        save_shape(back, second, binary=binary)
+        assert first.read_bytes() == second.read_bytes()
+        if faces:
+            assert np.array_equal(back.faces, shape.faces)
+        else:
+            assert back.faces is None
+        if colors and fmt != "obj":
+            assert back.colors.dtype == np.uint8
+            assert np.array_equal(back.colors, shape.colors)
+        else:
+            assert back.colors is None
+        if binary:
+            assert np.array_equal(back.vertices, shape.vertices)
+        else:
+            np.testing.assert_allclose(back.vertices, shape.vertices, rtol=1e-8)
+
+    @pytest.mark.parametrize("fmt", ["ascii.ply", "binary.ply", "obj"])
+    def test_written_bytes(self, tmp_path, fmt):
+        shape = Shape(vertices=[[0.1, -2.0, 1e-10], [1 / 3, 1e6, 123456.7891]],
+                      faces=[[0, 1, 1]], colors=np.array([[255, 0, 7], [1, 2, 3]],
+                                                         dtype=np.uint8))
+        path = tmp_path / f"w.{fmt}"
+        save_shape(shape, path, binary=fmt == "binary.ply")
+        header = (b"ply\nformat %s 1.0\nelement vertex 2\nproperty double x\n"
+                  b"property double y\nproperty double z\nproperty uchar red\n"
+                  b"property uchar green\nproperty uchar blue\nelement face 1\n"
+                  b"property list uchar int vertex_indices\nend_header\n")
+        want = {
+            "ascii.ply": header % b"ascii" + b"0.1 -2 1e-10 255 0 7\n"
+                         b"0.333333333 1000000 123456.789 1 2 3\n3 0 1 1\n",
+            "binary.ply": header % b"binary_little_endian"
+                          + struct.pack("<3d3B3d3BB3i", 0.1, -2.0, 1e-10, 255, 0, 7,
+                                        1 / 3, 1e6, 123456.7891, 1, 2, 3, 3, 0, 1, 1),
+            "obj": b"v 0.1 -2 1e-10\nv 0.333333333 1000000 123456.789\nf 1 2 2\n",
+        }[fmt]
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("bad", [300, -1, 2.5])
+    def test_colors_beyond_uchar_rejected(self, tmp_path, binary, bad):
+        shape = Shape(vertices=np.zeros((2, 3)), colors=np.array([[1, 2, 3], [4, bad, 6]]))
+        with pytest.raises(ValueError, match="colors must be integers in 0-255"):
+            save_shape(shape, tmp_path / "c.ply", binary=binary)
+
+    @pytest.mark.parametrize("fmt", ["ascii.ply", "binary.ply", "obj"])
+    def test_colored_strip_50k(self, tmp_path, fmt):
+        strip = make_strip(500, 100, 0.1, 0.5)
+        rgb = np.random.default_rng(5).integers(0, 256, (strip.n_vertices, 3),
+                                                dtype=np.uint8)
+        shape = Shape(vertices=strip.vertices, faces=strip.faces, colors=rgb)
+        binary = fmt == "binary.ply"
+        path = tmp_path / f"big.{fmt}"
+        save_shape(shape, path, binary=binary)
+        back = load_shape(path)
+        assert shape.n_vertices == 50_000 and len(shape.faces) == 98_802
+        assert np.array_equal(back.faces, shape.faces)
+        if fmt == "obj":
+            assert back.colors is None
+        else:
+            assert np.array_equal(back.colors, rgb)
+        if binary:
+            assert np.array_equal(back.vertices, shape.vertices)
+        else:
+            np.testing.assert_allclose(back.vertices, shape.vertices, atol=1e-6)
+
     def test_binary_ply_bit_exact(self, tmp_path, square_shape):
         path = tmp_path / "rt.ply"
         save_shape(square_shape, path, binary=True)

@@ -14,6 +14,8 @@ from nrreg.synthesis import (
     rotation_about_axis,
 )
 
+from conftest import make_strip_faces_loop
+
 
 @pytest.fixture
 def strip():
@@ -186,6 +188,14 @@ class TestHelpers:
 
     def test_smallest_strip_is_one_quad(self):
         assert make_strip(2, 2).faces.shape == (2, 3)
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 5), (5, 2), (3, 3), (25, 8),
+                                        (800, 8), (40, 40)])
+    def test_strip_faces_match_quad_loop(self, nx, ny):
+        # the same faces in the same order: vertex normals sum in face order
+        faces = make_strip(nx, ny).faces
+        want = make_strip_faces_loop(nx, ny)
+        assert faces.dtype == want.dtype and np.array_equal(faces, want)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, 2.0, np.nan])
     def test_landmark_fraction_out_of_range(self, fraction):
