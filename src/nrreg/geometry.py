@@ -71,6 +71,15 @@ class Shape:
             if np.any(np.abs(lens - 1.0) > 1e-9):
                 raise ValueError("normals must have unit length")
             object.__setattr__(self, "normals", n)
+        c = self.colors
+        if c is not None:
+            c = np.asarray(c)
+            if c.shape != (len(v), 3):
+                raise ValueError(f"colors must be ({len(v)}, 3), got {c.shape}")
+            if c.dtype.kind not in "biuf" or not np.all(
+                    (c >= 0) & (c <= 255) & (c == np.round(c))):
+                raise ValueError("colors must be integers in 0-255")
+            object.__setattr__(self, "colors", np.ascontiguousarray(c, dtype=np.uint8))
         for a in (self.vertices, self.faces, self.edges, self.normals, self.colors):
             if a is not None:
                 a.setflags(write=False)
@@ -292,10 +301,13 @@ _PLY_TYPES = {
 def _load_ply(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        header_end = data.index(b"end_header\n") + len(b"end_header\n")
-    except ValueError:
-        raise MeshParseError(path, 0, "missing end_header") from None
+    import re
+
+    # splitlines also strips a CR-LF file's carriage returns
+    end = re.search(rb"end_header\r?\n", data)
+    if end is None:
+        raise MeshParseError(path, 0, "missing end_header")
+    header_end = end.end()
     header_lines = data[:header_end].decode("ascii", "replace").splitlines()
     if not header_lines or header_lines[0].strip() != "ply":
         raise MeshParseError(path, 1, "not a PLY file")
@@ -457,8 +469,6 @@ def _save_ply(shape, path, binary=False):
     props = [(c, "double") for c in "xyz"]
     columns = list(shape.vertices.T)
     if shape.colors is not None:
-        if not np.array_equal(shape.colors.astype(np.uint8), shape.colors):
-            raise ValueError("colors must be integers in 0-255")
         props += [(c, "uchar") for c in ("red", "green", "blue")]
         columns += list(shape.colors.T)
     faces = np.zeros((0, 3), np.int64) if shape.faces is None else shape.faces

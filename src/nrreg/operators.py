@@ -74,9 +74,16 @@ class TransformStack:
 
 
 # component c = 4a + b of a 4x4 block is its entry (a, b); _TRANSPOSED[c] is
-# the component of entry (b, a), and _S_COMPONENTS those of S's diagonal ones
+# the component of entry (b, a), and _S_COMPONENTS those of S's diagonal ones.
+# In node-relative unknowns (a, p), _LOWER are the lower triangle of the
+# linear part's 3x3 block (entries 00, 10, 11, 20, 21, 22), _COUPLE the
+# entries (p, a) and _PP the entry (p, p)
 _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(-1)
 _S_COMPONENTS = [0, 5, 10]
+_LOWER = [0, 4, 5, 8, 9, 10]
+_COUPLE = slice(12, 15)
+_PP = 15
+_E_P = np.eye(4)[:, 3:]      # (4, 1): the p slot of a node-relative block
 
 
 def min_degree_order(n, rows, cols):
@@ -110,29 +117,44 @@ def _block_csc(row, col, n):
     slot = indptr[4 * col] + b * 4 * count[col] + 4 * pos + a
     indices = np.empty(indptr[-1], np.int32)
     indices[slot] = 4 * row + a
-    for arr in (indptr, indices):
+    return (*_read_only(indptr, indices), slot)
+
+
+def _read_only(*arrays):
+    for arr in arrays:
         arr.setflags(write=False)
-    return indptr, indices, slot
+    return arrays
 
 
 class SystemStructure:
     """What the template alone fixes, built once per registration: V, B, the
     4x4-block pattern of mu1 K_D + mu2 K_S + beta S (one diagonal block per
-    vertex, the (i, j) and (j, i) blocks of every edge) and the fill-reducing
-    order the factorization uses.
+    vertex, the (i, j) and (j, i) blocks of every edge), and the pattern and
+    fill-reducing order of the N x N system the factorization condenses it
+    to.
 
-    ``order`` is a minimum-degree order of the vertex-block graph; the
-    factorized matrix is P A P^T with each vertex's four unknowns kept
-    together, scalar position k holding unknown ``scalar_order[k]``. Block
-    values are (16, n_blocks) arrays, component 4a + b holding entry (a, b),
-    vertex diagonals first; ``perm`` puts them in the CSC order of P A P^T,
-    on the read-only pattern ``factor_indptr``, ``factor_indices``, and
-    ``diag_slots`` gives the (16, N) slots of the diagonals. Block
-    ``block_T[k]`` is block k's transpose. ``edge_blocks`` lists the (i, i),
-    (j, j), (i, j), (j, i) blocks of each edge (i, j) in ``edge_rows``, the
-    rows of B with i != j (a self-loop's row of B is zero). The vertex-order
-    pattern ``indptr``, ``indices``, which only ``system_matrix`` uses, is
-    built on first use.
+    Block values are (16, n_blocks) arrays, component 4a + b holding entry
+    (a, b), vertex diagonals first; block ``block_T[k]`` is block k's
+    transpose. ``edge_blocks`` lists the (i, i), (j, j), (i, j), (j, i)
+    blocks of each edge (i, j) in ``edge_rows``, the rows of B with i != j
+    (a self-loop's row of B is zero). The vertex-order pattern ``indptr``,
+    ``indices``, which only ``system_matrix`` uses, is built on first use.
+
+    In node-relative unknowns (see ``factorize_system``) block (r, j) couples
+    p_r with vertex j's linear part only if r = j or (r, j) is an edge:
+    ``couple_blocks``, grouped by column, with rows ``couple_row`` and
+    columns ``couple_col``. Eliminating the linear parts couples every two
+    rows of one column: pair k couples ``pair_first[k]`` with
+    ``pair_second[k]`` (indices into ``couple_blocks``) and adds to the
+    condensed entry ``pair_slot[k]``, one per vertex pair lo <= hi; so does
+    block ``pp_blocks[k]`` (the blocks with row <= column, vertex diagonals
+    first) to ``pp_slot[k]``. ``order`` is the minimum-degree order of the
+    condensed pattern, position k holding vertex order[k]; position k of
+    the read-only CSC pattern ``condensed_indptr``, ``condensed_indices`` of
+    the condensed matrix in that order takes the condensed entry
+    ``condensed_take[k]``. The singular test scales the
+    linear parts' pivots by ``pivot_scale`` = s^-2, s the power of two
+    nearest the RMS edge-vector length (1 without edges).
     """
 
     def __init__(self, vertices, edges):
@@ -151,26 +173,54 @@ class SystemStructure:
             [e[:, 0], e[:, 1], n + inv[:m], n + inv[m:]]).astype(np.int32).reshape(-1)
         self._row = np.concatenate([np.arange(n), keys // n])
         self._col = np.concatenate([np.arange(n), keys % n])
-        nb = self.n_blocks = len(self._row)
+        self.n_blocks = len(self._row)
         self.block_T = np.concatenate(
             [np.arange(n), n + np.searchsorted(keys, self._col[n:] * n + self._row[n:])])
-        self.order = min_degree_order(n, self._row[n:], self._col[n:])
-        self.scalar_order = (4 * self.order[:, None] + np.arange(4)).reshape(-1)
+        d2 = np.square(self.vh[e[:, 0], :3] - self.vh[e[:, 1], :3]).sum(axis=1)
+        ms = d2.mean() if m else 0.0
+        # s within 2^-100 .. 2^100, so that no scaled pivot overflows
+        log_s = np.clip(np.round(np.log2(ms) / 2), -100, 100) if ms > 0 else 0
+        self.pivot_scale = 2.0 ** (-2 * log_s)
+
+        # the condensed system: the blocks (r, j) coupling p_r with a_j,
+        # grouped by column j, and the pairs of them that share a column
+        blocks = np.concatenate([np.arange(n), n + np.unique(inv[:m])])
+        by_col = np.lexsort((self._row[blocks], self._col[blocks]))
+        blocks = blocks[by_col]
+        row, col = self._row[blocks], self._col[blocks]
+        # pairs k <= k' within each column group: k' runs to the group's end
+        reps = np.cumsum(np.bincount(col, minlength=n))[col] - np.arange(len(col))
+        first = np.repeat(np.arange(len(col)), reps)
+        second = first + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+        lo = np.minimum(row[first], row[second])
+        hi = np.maximum(row[first], row[second])
+        pair_keys, pair_slot = np.unique(lo * n + hi, return_inverse=True)
+        self.pp_blocks = np.flatnonzero(self._row <= self._col)
+        self.pp_slot = np.searchsorted(
+            pair_keys, self._row[self.pp_blocks] * n + self._col[self.pp_blocks])
+        self.couple_blocks, self.couple_row, self.couple_col, self.pair_first, \
+            self.pair_second, self.pair_slot = (
+                a.astype(np.int32) for a in (blocks, row, col, first, second, pair_slot))
+
+        lo, hi = np.divmod(pair_keys, n)
+        off = np.flatnonzero(lo != hi)
+        self.order = min_degree_order(n, np.concatenate([lo[off], hi[off]]),
+                                      np.concatenate([hi[off], lo[off]]))
         position = np.argsort(self.order)
-        self.factor_indptr, self.factor_indices, slot = _block_csc(
-            position[self._row], position[self._col], n)
-        self.perm = np.empty(len(self.factor_indices), np.int32)
-        self.perm[slot] = np.arange(16 * nb).reshape(16, nb)
-        self.diag_slots = slot[:, :n].copy()
+        frow = position[np.concatenate([lo, hi[off]])]
+        fcol = position[np.concatenate([hi, lo[off]])]
+        csc = np.lexsort((frow, fcol))
+        self.condensed_indptr, self.condensed_indices, self.condensed_take = \
+            _read_only(np.concatenate([[0], np.cumsum(np.bincount(fcol, minlength=n))]
+                                      ).astype(np.int32),
+                       frow[csc].astype(np.int32),
+                       np.concatenate([np.arange(len(lo)), off])[csc].astype(np.int32))
 
     @cached_property
     def vertex_pattern(self):
-        """(indptr, indices, take): the read-only CSC pattern in vertex
-        order, and the factor-order slot of each of its entries."""
-        indptr, indices, slot = _block_csc(self._row, self._col, self.n)
-        take = np.empty(len(indices), np.int64)
-        take[slot.reshape(-1)[self.perm]] = np.arange(len(indices))
-        return indptr, indices, take
+        """(indptr, indices, slot): the read-only CSC pattern in vertex
+        order, and the (16, n_blocks) position of each block component."""
+        return _block_csc(self._row, self._col, self.n)
 
     @property
     def indptr(self):
@@ -182,36 +232,50 @@ class SystemStructure:
 
     @cached_property
     def unit_smooth_terms(self):
-        """K_S = B^T B on the CSC slots: the smoothness term at unit weights,
-        which the binary acquisition phase and the l2 baseline use at every
-        outer iteration, built and checked once per structure."""
-        return _csc_terms(normal_blocks(self, None, np.ones(len(self.edges)))[1],
-                          self)
+        """K_S at unit weights in node-relative unknowns: the smoothness term
+        the binary acquisition phase and the l2 baseline use at every outer
+        iteration, built and checked once per structure."""
+        ks = normal_blocks(self, None, np.ones(len(self.edges)))[1]
+        _assert_symmetric(ks, self.block_T)
+        return ks
 
 
-def normal_blocks(structure, w_data, w_smooth):
-    """K_D = (W_D V)^T (W_D V) and K_S = (W_S B)^T (W_S B) per block
-    component: (16, N) for K_D, whose only blocks are the vertex diagonals,
-    and (16, n_blocks) for K_S; a term whose weights are None is None.
+def normal_blocks(structure, w_data, w_smooth, node=True):
+    """K_D = (W_D V T)^T (W_D V T) and K_S = (W_S B T)^T (W_S B T) per block
+    component, for T the per-vertex change to node-relative unknowns (see
+    ``factorize_system``), or T = I when ``node`` is false: (16, N) for K_D,
+    whose only blocks are the vertex diagonals, and (16, n_blocks) for K_S; a
+    term whose weights are None is None.
 
-    Each entry is formed as a sparse product forms it: products of weighted
-    entries, summed over edges in edge order (``np.bincount`` adds in input
-    order), so the values are bit for bit those of the products.
+    Row i of V T is e_p in block i; the row of edge (i, j) of B T is e_p in
+    block i and -(v_i - v_j, 1) in block j. Without T they are vh_i, and
+    vh_i and -vh_i. Each entry is formed as a sparse product forms it:
+    products of weighted entries, summed over edges in edge order
+    (``np.bincount`` adds in input order), so without T the values are bit
+    for bit those of the products V^T W_D^2 V and B^T W_S^2 B.
     """
     st = structure
     kd = ks = None
     if w_data is not None:
-        wv = w_data * st.vh.T                               # (4, N)
+        wv = w_data * (_E_P if node else st.vh.T)           # (4, N)
         kd = (wv[:, None] * wv[None, :]).reshape(16, st.n)
     if w_smooth is not None:
-        rows = st.edge_rows
-        ws = w_smooth[rows] * st.vh[st.edges[rows, 0]].T    # (4, E)
-        p = (ws[:, None] * ws[None, :]).reshape(16, len(rows))
+        i, j = st.edges[st.edge_rows].T
+        w = w_smooth[st.edge_rows]
+        if node:
+            d = st.vh[i] - st.vh[j]
+            d[:, 3] = 1.0
+            ri, rj = w * _E_P, -(w * d.T)                   # (4, E)
+        else:
+            ri = w * st.vh[i].T
+            rj = -ri
         ks = np.empty((16, st.n_blocks))
         for c in range(16):
-            ks[c] = np.bincount(st.edge_blocks, np.repeat(p[c], 4),
+            a, b = divmod(c, 4)
+            p = np.column_stack([ri[a] * ri[b], rj[a] * rj[b],
+                                 ri[a] * rj[b], rj[a] * ri[b]])
+            ks[c] = np.bincount(st.edge_blocks, p.reshape(-1),
                                 minlength=st.n_blocks)
-        ks[:, st.n:] *= -1.0      # B holds -v_i in block j
     return kd, ks
 
 
@@ -223,12 +287,6 @@ def _assert_symmetric(values, block_T):
     scale = max(values.max(initial=0.0), -values.min(initial=0.0), 1.0)
     if asym > 1e-12 * scale:
         raise AssertionError(f"system matrix not symmetric (max asymmetry {asym})")
-
-
-def _csc_terms(values, structure):
-    """Block values (16, n_blocks), checked for symmetry, in CSC slot order."""
-    _assert_symmetric(values, structure.block_T)
-    return values.reshape(-1).take(structure.perm)
 
 
 @dataclass
@@ -266,16 +324,19 @@ class SystemMatrices:
 
     @cached_property
     def normal_terms(self):
-        """(K_D, K_S) for these weights, built and checked for symmetry once
-        per instance: K_D per component of the vertex diagonal blocks (see
-        ``normal_blocks``), K_S on the CSC slots, taken from the structure
-        when every smoothness weight is 1; ``replace`` makes a new instance,
-        so new weights never meet old values."""
+        """(K_D, K_S) in node-relative unknowns for these weights, built and
+        checked for symmetry once per instance (see ``normal_blocks``), K_S
+        taken from the structure when every smoothness weight is 1;
+        ``replace`` makes a new instance, so new weights never meet old
+        values."""
         st = self.structure
         unit = not np.any(self.w_smooth != 1.0)
         kd, ks = normal_blocks(st, self.w_data, None if unit else self.w_smooth)
         _assert_symmetric(kd, st.block_T[:self.n])
-        return kd, st.unit_smooth_terms if unit else _csc_terms(ks, st)
+        if unit:
+            return kd, st.unit_smooth_terms
+        _assert_symmetric(ks, st.block_T)
+        return kd, ks
 
     def data_residual(self, X):
         """W_D (V X - U_f) as an (N, 3) dense matrix."""
@@ -476,19 +537,6 @@ def rotation_rhs(rotations):
     return out
 
 
-def _factor_data(mu1, mu2, beta, sys):
-    """CSC data of P A P^T for A = ``system_matrix(mu1, mu2, beta, sys)``:
-    the K_D, K_S values are built once per system, so a call only scales and
-    adds them."""
-    st = sys.structure
-    kd, ks = sys.normal_terms
-    d = mu2 * ks
-    d[st.diag_slots] += mu1 * kd
-    if beta != 0.0:
-        d[st.diag_slots[_S_COMPONENTS]] += beta
-    return d
-
-
 def _csc(data, indptr, indices):
     """Square CSC matrix on a shared read-only pattern. Entries that are
     exactly zero are dropped, as sparse arithmetic drops them, from a copy:
@@ -503,32 +551,91 @@ def _csc(data, indptr, indices):
 
 def system_matrix(mu1, mu2, beta, sys):
     """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i, sparse CSC
-    in vertex order.
+    in vertex order, on the registration's fixed vertex-order pattern: bit
+    for bit the matrix the sparse products give. The factorization never
+    forms it; a singular system's report does."""
+    st = sys.structure
+    kd, ks = normal_blocks(st, sys.w_data, sys.w_smooth, node=False)
+    _assert_symmetric(kd, st.block_T[:st.n])
+    _assert_symmetric(ks, st.block_T)
+    values = mu2 * ks
+    values[:, :st.n] += mu1 * kd
+    if beta != 0.0:
+        values[_S_COMPONENTS, :st.n] += beta
+    indptr, indices, slot = st.vertex_pattern
+    data = np.empty(len(indices))
+    data[slot] = values
+    return _csc(data, indptr, indices)
 
-    The values are the factorization's (``_factor_data``) moved to the
-    registration's fixed vertex-order pattern, so the matrix is bit for bit
-    the one the sparse products give.
-    """
-    indptr, indices, take = sys.structure.vertex_pattern
-    return _csc(_factor_data(mu1, mu2, beta, sys).take(take), indptr, indices)
+
+def _cholesky3(m):
+    """Cholesky factors (rows l00, l10, l11, l20, l21, l22) and LDL^T pivots
+    (3, N) of N symmetric 3x3 matrices given by their lower triangles (6, N);
+    a pivot that is not positive leaves non-finite factors."""
+    m00, m10, m11, m20, m21, m22 = m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l00 = np.sqrt(m00)
+        l10, l20 = m10 / l00, m20 / l00
+        d1 = m11 - l10 * l10
+        l11 = np.sqrt(d1)
+        l21 = (m21 - l20 * l10) / l11
+        d2 = m22 - l20 * l20 - l21 * l21
+        return np.stack([l00, l10, l11, l20, l21, np.sqrt(d2)]), np.stack([m00, d1, d2])
+
+
+def _forward(l, b):
+    """L^-1 b for the Cholesky rows ``l`` (6, ...) and b (3, ...)."""
+    y0 = b[0] / l[0]
+    y1 = (b[1] - l[1] * y0) / l[2]
+    return np.stack([y0, y1, (b[2] - l[3] * y0 - l[4] * y1) / l[5]])
+
+
+def _backward(l, b):
+    """L^-T b for the Cholesky rows ``l`` (6, ...) and b (3, ...)."""
+    x2 = b[2] / l[5]
+    x1 = (b[1] - l[4] * x2) / l[2]
+    return np.stack([(b[0] - l[1] * x1 - l[3] * x2) / l[0], x1, x2])
 
 
 class Factorization:
-    """Reusable symmetric factorization of the transform-update system,
-    factorized as P A P^T; ``solve`` maps the right-hand side and the
-    solution through the permutation, so it takes and returns vertex order."""
+    """Reusable factorization of the transform-update system. ``solve``
+    takes a (4N, k) right-hand side in X coordinates and vertex order and
+    returns the solution the same way; the change to node-relative
+    unknowns, the elimination of the linear parts and the condensed N x N
+    solve happen inside."""
 
-    def __init__(self, lu, order):
+    def __init__(self, lu, structure, chol, couple, pivot_ratio):
         self._lu = lu
-        self._order = order
-        self.shape = lu.shape
+        self._structure = structure
+        self._chol = chol           # (6, N) Cholesky rows of the 3x3 blocks
+        self._couple = couple       # (N, 3N): entry (r, dN + j) is (L_j^-1 g)_d
+        self._pivot_ratio = pivot_ratio
+        self.shape = (4 * structure.n, 4 * structure.n)
+
+    @property
+    def pivot_ratio(self):
+        """Smallest over largest pivot the singular test reads: the U
+        diagonal of the condensed factor and the 3x3 blocks' LDL^T pivots
+        times ``SystemStructure.pivot_scale``."""
+        return self._pivot_ratio
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {self.shape[0]}")
-        x = np.empty_like(rhs)
-        x[self._order] = self._lu.solve(rhs[self._order])
+        st = self._structure
+        n, v = st.n, st.vh[:, :3].T[:, :, None]
+        b = rhs.reshape(n, 4, -1).transpose(1, 0, 2)          # (4, N, k)
+        # T^T b, then L^-1 of its linear parts
+        y = _forward(self._chol[:, :, None], b[:3] - v * b[3])
+        c = b[3] - self._couple @ y.reshape(3 * n, -1)
+        p = np.empty_like(c)
+        p[st.order] = self._lu.solve(c[st.order])
+        a = _backward(self._chol[:, :, None],
+                      y - (self._couple.T @ p).reshape(y.shape))
+        # back to X: t = p - A v
+        x = np.concatenate([a, (p - np.einsum("dnk,dnk->nk", v, a))[None]])
+        x = x.transpose(1, 0, 2).reshape(rhs.shape)
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("solve produced non-finite values")
         return x
@@ -539,37 +646,71 @@ def factorize_system(mu1, mu2, beta, sys):
     sys)``; raises SingularSystemError with the suspect vertex blocks when
     the matrix is singular.
 
-    Only the numeric work is per call. The pattern and its minimum-degree
-    order are fixed per registration (``SystemStructure``), so SuperLU gets
-    P A P^T, assembled in that order, with the natural column order; K_D,
-    K_S and their symmetry check are once per system.
+    The factorization works per right-hand-side column in node-relative
+    unknowns (Sumner, Schmid & Pauly 2007): a_i, a row of A_i, and
+    p_i = a_i . v_i + t_i, so x_i = T_i z_i. There the data term touches only
+    p, an edge row (i, j) touches p_i, p_j and a_j, and the rotation penalty
+    only a, so the linear parts' block is block diagonal: M_j = beta I +
+    mu2 sum_(i, j) w^2 d d^T, d = v_i - v_j. Each M_j = L_j L_j^T is
+    eliminated by a batched 3x3 Cholesky (w = L_j^-1 g, never an inverse),
+    and SuperLU factorizes the N x N Schur complement in p on the
+    registration's fixed pattern and minimum-degree order (natural column
+    order, no ordering per call). K_D, K_S and their symmetry check are once
+    per system. The singular test reads the U diagonal and the 3x3 pivots
+    scaled by s^-2, which makes them commensurate; s is a power of two, so
+    no solution bit depends on it.
     """
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("mu1 and mu2 must be positive")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     st = sys.structure
-    a = _csc(_factor_data(mu1, mu2, beta, sys), st.factor_indptr,
-             st.factor_indices)
+    n = st.n
+    kd, ks = sys.normal_terms
+    m = mu2 * ks[_LOWER, :n]
+    if beta != 0.0:
+        m[[0, 2, 5]] += beta
+    chol, piv = _cholesky3(m)
+    if not np.all(piv > 0):
+        raise _singular(None, mu1, mu2, beta, sys)
+    w = _forward(chol[:, st.couple_col], mu2 * ks[_COUPLE, st.couple_blocks])
+    first, second = st.pair_first, st.pair_second
+    s = -np.bincount(st.pair_slot, w[0, first] * w[0, second]
+                     + w[1, first] * w[1, second] + w[2, first] * w[2, second])
+    s[st.pp_slot] += mu2 * ks[_PP, st.pp_blocks]
+    s[st.pp_slot[:n]] += mu1 * kd[_PP]
+    a = sp.csc_matrix((s[st.condensed_take], st.condensed_indices,
+                       st.condensed_indptr), shape=(n, n))
     try:
         lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise _singular(exc, a, sys) from exc
+        raise _singular(exc, mu1, mu2, beta, sys) from exc
     # SuperLU can succeed numerically on structurally singular inputs; check.
-    du = np.abs(lu.U.diagonal())
-    if du.size == 0 or du.min() <= 1e-12 * max(du.max(), 1.0):
-        raise _singular("zero pivot", a, sys)
-    return Factorization(lu, st.scalar_order)
+    pivots = np.concatenate([np.abs(lu.U.diagonal()), st.pivot_scale * piv.reshape(-1)])
+    if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
+        raise _singular("zero pivot", mu1, mu2, beta, sys)
+    # column dN + j holds component d of w for the rows of column group j
+    couple = sp.csc_matrix(
+        (w.reshape(-1), np.tile(st.couple_row, 3), np.concatenate(
+            [[0], np.cumsum(np.tile(np.bincount(st.couple_col, minlength=n), 3))])),
+        shape=(n, 3 * n))
+    return Factorization(lu, st, chol, couple, pivots.min() / pivots.max())
 
 
-def _singular(reason, a, sys):
-    """SingularSystemError naming the suspect vertices (original indices):
-    those of every component of the edge graph without a matched vertex, or,
-    when every component has one, those whose diagonal block of ``a`` (block
-    k is vertex order[k]) is rank deficient."""
-    bad = _unanchored_vertices(sys) or sorted(
-        sys.structure.order[_suspect_blocks(a)].tolist())
+def _singular(reason, mu1, mu2, beta, sys):
+    """SingularSystemError naming the suspect vertices: those of every
+    component of the edge graph without a matched vertex, or, when every
+    component has one, those whose diagonal block of ``system_matrix`` is
+    rank deficient. A ``reason`` of None (a 3x3 block's pivot is not
+    positive) is worded as SuperLU words the full matrix: exactly singular
+    when some unknown has no nonzero entry, which every elimination order
+    meets as an exactly zero pivot."""
+    a = system_matrix(mu1, mu2, beta, sys)
+    if reason is None:
+        exact = np.any(np.diff(a.indptr) == 0)
+        reason = "Factor is exactly singular" if exact else "zero pivot"
+    bad = _unanchored_vertices(sys) or _suspect_blocks(a)
     return SingularSystemError(
         f"singular system: {reason}; suspect vertex blocks {bad}",
         vertex_blocks=bad)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from nrreg import (
     CorrespondenceMap,
@@ -13,6 +14,7 @@ from nrreg import (
     build_S_terms,
     synth_deformation,
 )
+from nrreg.operators import min_degree_order, system_matrix
 from nrreg.synthesis import DeformationSpec, landmark_subset, make_strip
 
 
@@ -66,6 +68,32 @@ def sparse_product_system_matrix(mu1, mu2, beta, sys):
     a = a.tocsc()
     a.sum_duplicates()
     return a
+
+
+def block_order_factorization(mu1, mu2, beta, sys):
+    """Reference factorization of the 4N x 4N transform-update matrix, as
+    ``factorize_system`` ran it before condensing to N x N: a minimum-degree
+    order of the vertex-block graph, expanded to 4-wide blocks, orders
+    ``system_matrix``, and SuperLU factorizes P A P^T with the natural column
+    order and no pivoting. Returns (solve, pivot ratio): ``solve`` maps a
+    vertex-order right-hand side to the vertex-order solution, and the ratio
+    is min |U_ii| / max |U_ii|."""
+    st = sys.structure
+    e = st.edges[st.edge_rows]
+    pairs = np.unique(np.concatenate([e, e[:, ::-1]]), axis=0)
+    order = min_degree_order(st.n, pairs[:, 0], pairs[:, 1])
+    scalar = (4 * order[:, None] + np.arange(4)).reshape(-1)
+    lu = splu(system_matrix(mu1, mu2, beta, sys)[scalar][:, scalar].tocsc(),
+              permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+
+    def solve(rhs):
+        x = np.empty_like(rhs)
+        x[scalar] = lu.solve(rhs[scalar])
+        return x
+
+    du = np.abs(lu.U.diagonal())
+    return solve, du.min() / du.max()
 
 
 def unique_rows_undirected(edges):

@@ -208,6 +208,22 @@ class TestEvaluateCommand:
         assert reports[0] == reports[1]
 
 
+    def test_crlf_template_exit_zero(self, instance, tmp_path):
+        # a PLY written with CR-LF line ends evaluates as its LF original
+        crlf = tmp_path / "crlf.ply"
+        lf = (instance / "template.ply").read_bytes()
+        crlf.write_bytes(lf.replace(b"\n", b"\r\n"))
+        reports = []
+        for template in (instance / "template.ply", crlf):
+            out = tmp_path / template.stem
+            assert run("evaluate", "--template", str(template),
+                       "--ground-truth", str(instance / "target.ply"),
+                       "--transforms", str(instance / "gt_transforms.txt"),
+                       "--out", str(out)) == 0
+            reports.append((out / "error_report.json").read_text())
+        assert reports[0] == reports[1]
+
+
 class TestFitResidualsCommand:
     def test_snr_residuals_prefer_laplace(self, instance, tmp_path):
         reg = tmp_path / "reg"
@@ -441,6 +457,24 @@ class TestSolverFaults:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: solver failure: singular system: ")
         assert f"suspect vertex blocks {list(range(24, 48))}" in err
+
+    @pytest.mark.parametrize("variant, reason", [
+        ("dual_sparse", "zero pivot"), ("l2", "Factor is exactly singular")])
+    def test_singular_reason_text(self, variant, reason, tmp_path, capsys):
+        # the reason reads as the full 4N x 4N factorization gave it: under
+        # l2 the flat second strip's linear parts have an exactly zero
+        # direction, which SuperLU reports as an exactly singular factor
+        template, target, landmarks = two_strips()
+        save_shape(template, tmp_path / "template.ply")
+        save_shape(target, tmp_path / "target.ply")
+        save_correspondences(landmarks, tmp_path / "landmarks.txt")
+        run("register", "--template", str(tmp_path / "template.ply"),
+            "--target", str(tmp_path / "target.ply"),
+            "--corr", str(tmp_path / "landmarks.txt"),
+            "--variant", variant, "--out", str(tmp_path / "out"))
+        assert capsys.readouterr().err == (
+            f"error: solver failure: singular system: {reason}; "
+            f"suspect vertex blocks {list(range(24, 48))}\n")
 
     def test_far_target_exit_one(self, instance, tmp_path, capsys):
         target = load_shape(instance / "target.ply")

@@ -219,9 +219,45 @@ class TestRoundTrip:
     @pytest.mark.parametrize("binary", [False, True])
     @pytest.mark.parametrize("bad", [300, -1, 2.5])
     def test_colors_beyond_uchar_rejected(self, tmp_path, binary, bad):
-        shape = Shape(vertices=np.zeros((2, 3)), colors=np.array([[1, 2, 3], [4, bad, 6]]))
+        # the shape itself rejects them, so no writer meets them
         with pytest.raises(ValueError, match="colors must be integers in 0-255"):
+            shape = Shape(vertices=np.zeros((2, 3)),
+                          colors=np.array([[1, 2, 3], [4, bad, 6]]))
             save_shape(shape, tmp_path / "c.ply", binary=binary)
+
+    @pytest.mark.parametrize("colors, message", [
+        (np.zeros((5, 7)), r"colors must be \(2, 3\), got \(5, 7\)"),
+        ([[1, 2, 3]], r"colors must be \(2, 3\), got \(1, 3\)"),
+        ([[1, 2, 3], [4, 256, 6]], "colors must be integers in 0-255"),
+        ([[1, 2, 3], [4, np.nan, 6]], "colors must be integers in 0-255"),
+        ([["1", "2", "3"], ["4", "5", "6"]], "colors must be integers in 0-255"),
+    ])
+    def test_bad_colors_rejected_on_construction(self, colors, message):
+        with pytest.raises(ValueError, match=message):
+            Shape(vertices=np.zeros((2, 3)), colors=colors)
+
+    def test_color_list_stored_read_only(self):
+        shape = Shape(vertices=np.zeros((2, 3)), colors=[[255, 0, 7], [1.0, 2, 3]])
+        assert shape.colors.dtype == np.uint8
+        assert shape.colors.tolist() == [[255, 0, 7], [1, 2, 3]]
+        with pytest.raises(ValueError):
+            shape.colors[0, 0] = 1
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_crlf_ply_loads_as_lf_twin(self, tmp_path, binary):
+        # a CR-LF header (and, in ASCII, CR-LF rows) reads bit for bit as the
+        # LF file; an LF file reads as before
+        lf = tmp_path / "lf.ply"
+        save_shape(colored_mesh(), lf, binary=binary)
+        data = lf.read_bytes()
+        end = data.index(b"end_header\n") + len(b"end_header\n")
+        crlf = tmp_path / "crlf.ply"
+        crlf.write_bytes(data.replace(b"\n", b"\r\n") if not binary
+                         else data[:end].replace(b"\n", b"\r\n") + data[end:])
+        assert crlf.read_bytes().count(b"\r\n") > 10
+        a, b = load_shape(lf), load_shape(crlf)
+        for name in ("vertices", "faces", "colors"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("fmt", ["ascii.ply", "binary.ply", "obj"])
     def test_colored_strip_50k(self, tmp_path, fmt):

@@ -39,9 +39,13 @@ from nrreg.operators import (
     rotation_rhs,
     system_matrix,
 )
-from nrreg.synthesis import make_strip
+from nrreg.synthesis import landmark_subset, make_strip
 
-from conftest import random_cloud, sparse_product_system_matrix
+from conftest import (
+    block_order_factorization,
+    random_cloud,
+    sparse_product_system_matrix,
+)
 
 
 def prox_abs_oracle(x, tau, width=None):
@@ -729,8 +733,8 @@ class TestFixedPatternSystemMatrix:
 class TestBlockOrdering:
     def test_order_is_block_permutation_built_once(self, bend_instance,
                                                    monkeypatch):
-        # one minimum-degree order per registration, expanded to contiguous
-        # 4-blocks, however many factorizations the inner loop runs
+        # one minimum-degree order of the condensed N x N pattern per
+        # registration, however many factorizations the inner loop runs
         import nrreg.operators
         import nrreg.solver
         counts = {"order": 0, "factorize": 0}
@@ -756,8 +760,7 @@ class TestBlockOrdering:
         n = st_.n
         np.testing.assert_array_equal(np.sort(st_.order), np.arange(n))
         assert not np.array_equal(st_.order, np.arange(n))
-        np.testing.assert_array_equal(
-            st_.scalar_order.reshape(n, 4), 4 * st_.order[:, None] + np.arange(4))
+        assert len(st_.condensed_indptr) == n + 1
 
     @settings(max_examples=300, deadline=None)
     @given(weighted_systems())
@@ -816,25 +819,86 @@ class TestBlockOrdering:
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             assert lu.L.nnz + lu.U.nnz <= ref.L.nnz + ref.U.nnz
 
-    def test_exact_zeros_leave_pattern_intact(self):
-        # exact-zero entries are dropped from a copy: the shared factor-order
-        # pattern is read-only, and a second factorization solves the same
+    def test_exact_zeros_leave_pattern_intact(self, monkeypatch):
+        # exact-zero entries: every factorization hands SuperLU the shared,
+        # read-only N x N pattern, and a second factorization solves the same
+        import nrreg.operators
         verts = random_cloud(12, seed=23)
         verts[:, 2] = 0.0
         edges = knn_edges(verts, 4)
         sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
                                CorrespondenceMap(np.arange(1, 13)), verts)
         st_ = sys_.structure
-        assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < len(st_.factor_indices)
-        pattern = st_.factor_indptr.copy(), st_.factor_indices.copy()
+        assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * st_.n_blocks
+        pattern = st_.condensed_indptr.copy(), st_.condensed_indices.copy()
+        factored = []
+        monkeypatch.setattr(nrreg.operators, "splu",
+                            lambda a, **kw: factored.append(a) or splu(a, **kw))
         rhs = np.random.default_rng(24).standard_normal((48, 3))
         first = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
         second = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(st_.factor_indptr, pattern[0])
-        np.testing.assert_array_equal(st_.factor_indices, pattern[1])
-        for arr in (st_.factor_indptr, st_.factor_indices):
+        assert len(factored) == 2
+        for a in factored:
+            assert a.shape == (12, 12)
+            assert np.shares_memory(a.indices, st_.condensed_indices)
+            assert np.shares_memory(a.indptr, st_.condensed_indptr)
+        np.testing.assert_array_equal(st_.condensed_indptr, pattern[0])
+        np.testing.assert_array_equal(st_.condensed_indices, pattern[1])
+        for arr in (st_.condensed_indptr, st_.condensed_indices):
             with pytest.raises(ValueError):
                 arr[0] = 1
         dense = system_matrix(1.0, 1.0, 0.3, sys_).toarray()
         np.testing.assert_allclose(dense @ first, rhs, atol=1e-9)
+
+
+def weighted_mesh_system(nx, ny):
+    """A relief mesh with 80 % of its vertices matched and random data and
+    smoothness weights."""
+    template = make_strip(nx, ny, 0.1, relief=0.5)
+    n = template.n_vertices
+    rng = np.random.default_rng(3)
+    corr = CorrespondenceMap(np.where(rng.random(n) < 0.8, np.arange(1, n + 1), 0))
+    return assemble_system(template, template.edges, corr, template.vertices,
+                           rng.random(n) + 0.01, rng.random(len(template.edges)) + 0.01)
+
+
+class TestCondensedSolve:
+    @pytest.mark.parametrize("beta", [0.0, 0.2])
+    @pytest.mark.parametrize("mu", [1.0, 2.0 ** 8, 2.0 ** 16])
+    @pytest.mark.parametrize("grid", [(20, 8), (12, 12)], ids=["strip", "square"])
+    def test_matches_block_order_oracle_and_dense_solve(self, grid, mu, beta):
+        # the condensed N x N factorization against the 4N x 4N one it
+        # replaced and against a dense solve, on strips and squares, with
+        # and without the rotation penalty that keeps the 3x3 blocks definite
+        sys_ = weighted_mesh_system(*grid)
+        dense = system_matrix(mu, mu, beta, sys_).toarray()
+        rhs = np.random.default_rng(0).standard_normal((len(dense), 3))
+        handle = factorize_system(mu, mu, beta, sys_)
+        x = handle.solve(rhs)
+        oracle_solve, oracle_ratio = block_order_factorization(mu, mu, beta, sys_)
+        eig = np.linalg.eigvalsh(dense)
+        bound = 1e-8 + 1e-14 * eig[-1] / eig[0]
+        ref = np.linalg.solve(dense, rhs)
+        for got, want in [(x, ref), (oracle_solve(rhs), ref), (x, oracle_solve(rhs))]:
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+        residual = np.linalg.norm(dense @ x - rhs)
+        assert residual <= 1e-14 * (eig[-1] * np.linalg.norm(x) + np.linalg.norm(rhs))
+        assert handle.pivot_ratio >= oracle_ratio
+
+    @pytest.mark.parametrize("nx", [400, 800])
+    def test_pivot_ratio_independent_of_strip_length(self, nx):
+        # binary l2 systems (unit smoothness weights, no rotation penalty) in
+        # the registration's unit-diagonal frame: the block-order oracle's
+        # pivot ratio falls with the strip's length towards the 1e-12
+        # singular test, the condensed factorization's stays put
+        strip = make_strip(nx, 8, 0.1, relief=0.5)
+        v = strip.vertices
+        v = (v - (v.max(0) + v.min(0)) / 2) / np.linalg.norm(v.max(0) - v.min(0))
+        sys_ = assemble_system(Shape(vertices=v, faces=strip.faces), strip.edges,
+                               landmark_subset(len(v), 0.2, seed=1), v)
+        handle = factorize_system(1.0, 1.0, 0.0, sys_)
+        assert handle.pivot_ratio >= 1e-8 > block_order_factorization(
+            1.0, 1.0, 0.0, sys_)[1]
+        with pytest.raises(AttributeError):
+            handle.pivot_ratio = 1.0

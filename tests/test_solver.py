@@ -27,6 +27,7 @@ from nrreg.synthesis import (
     DeformationSpec,
     landmark_subset,
     make_strip,
+    perturb_noise,
     perturb_outliers,
 )
 
@@ -382,6 +383,25 @@ class TestL2Baseline:
         sys_, _ = aligned_system(n=16, seed=4)
         x = solve_l2_baseline(sys_, alpha=1.0)
         assert np.abs(sys_.V @ x.stacked - sys_.U_f).max() < 1e-8
+
+    def test_faceless_singular_vertices_have_in_degree_below_three(self):
+        # in node-relative unknowns vertex j's linear part enters only the
+        # rows of the k-NN edges (i, j) into it, through v_i - v_j; with fewer
+        # than three and no rotation penalty (l2 has none) it keeps a free
+        # direction: the failure is structural, and names exactly those
+        strip = perturb_noise(make_strip(25, 8, 0.1, relief=0.5), 0.05, seed=1)
+        template = Shape(vertices=strip.vertices)
+        cfg = SolverConfig(variant="l2")
+        edges = build_edge_graph(template, cfg.knn_k)
+        in_degree = np.bincount(edges[:, 1], minlength=template.n_vertices)
+        expected = tuple(np.flatnonzero(in_degree < 3).tolist())
+        assert len(expected) == 2
+        with pytest.raises(SingularSystemError) as exc:
+            register(template, Shape(vertices=template.vertices + 0.01),
+                     landmark_subset(template.n_vertices, 0.2, seed=1), cfg)
+        assert exc.value.vertex_blocks == expected
+        assert str(exc.value) == ("singular system: zero pivot; suspect vertex "
+                                  f"blocks {list(expected)}")
 
     def test_large_alpha_collapses_to_common_transform(self):
         # 1e8 rather than 1e12: the factorization's relative zero-pivot guard
