@@ -394,8 +394,11 @@ def _read_binary_ply(path, data, offset, n_header, elements):
             raise MeshParseError(path, 0, f"truncated binary {name} data")
         if name == "vertex":
             verts = np.column_stack([rows[str(i)] for i in xyz]).astype(np.float64)
-            if rgb:
-                colors = np.column_stack([rows[str(i)] for i in rgb]).astype(np.uint8)
+            if rgb:  # colors are integers in 0-255, as in ASCII files
+                c = np.column_stack([rows[str(i)] for i in rgb])
+                if not np.all((c >= 0) & (c <= 255) & (np.floor(c) == c)):
+                    raise MeshParseError(path, 0, "bad vertex value")
+                colors = c.astype(np.uint8)
         elif count:
             faces = rows["indices"].astype(np.int64)
     return verts, colors, faces

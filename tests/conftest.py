@@ -14,7 +14,7 @@ from nrreg import (
     build_S_terms,
     synth_deformation,
 )
-from nrreg.operators import min_degree_order, system_matrix
+from nrreg.operators import system_matrix
 from nrreg.synthesis import DeformationSpec, landmark_subset, make_strip
 
 
@@ -68,6 +68,22 @@ def sparse_product_system_matrix(mu1, mu2, beta, sys):
     a = a.tocsc()
     a.sum_duplicates()
     return a
+
+
+def min_degree_order(n, rows, cols):
+    """Minimum-degree order of the n-vertex graph whose edges (rows[k],
+    cols[k]) are listed both ways (George & Liu 1989): SuperLU's
+    ``MMD_AT_PLUS_A`` column order of graph Laplacian + I, an SPD matrix with
+    the graph's pattern. Position k of the result holds vertex order[k]
+    (SuperLU's ``perm_c`` is the inverse map: vertex i goes to perm_c[i])."""
+    deg = np.bincount(rows, minlength=n)
+    diag = np.arange(n)
+    g = sp.csc_matrix((np.concatenate([deg + 1.0, -np.ones(len(rows))]),
+                       (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
+                      shape=(n, n))
+    position = splu(g, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).perm_c
+    return np.argsort(position)
 
 
 def block_order_factorization(mu1, mu2, beta, sys):
@@ -149,6 +165,19 @@ def two_strips():
     mapping = np.zeros(48, dtype=np.int64)
     mapping[[0, 5, 11, 17, 23]] = [1, 6, 12, 18, 24]
     return template, strip, CorrespondenceMap(mapping)
+
+
+def duplicated_strip():
+    """A faceless 20x8 relief strip with its first 10 vertices appended
+    again (160-169 duplicate 0-9), and as target the same cloud 0.01 along
+    x."""
+    v = make_strip(20, 8, 0.1, relief=0.5).vertices
+    v = np.concatenate([v, v[:10]])
+    return Shape(vertices=v), Shape(vertices=v + [0.01, 0.0, 0.0])
+
+
+# the vertices the singular l2 system of ``duplicated_strip`` names
+DUPLICATE_SUSPECTS = [0, 7, 159, 160, 167]
 
 
 def make_strip_faces_loop(nx, ny):
@@ -243,6 +272,10 @@ PLY_FAULTS = {
                                       "property uchar red", "property uchar green",
                                       "property uchar blue")
                            + b"0 0 0 1 2 3\n1 1 1 4 300 6\n", "12: bad vertex value"),
+    "binary-color-out-of-range": (
+        ply_header("binary_little_endian", "element vertex 1", *XYZ_FLOAT,
+                   "property float red", "property float green", "property float blue")
+        + struct.pack("<6f", 0, 0, 0, 1, 300, 3), "0: bad vertex value"),
     "negative-count": (ply_header("ascii", "element vertex -1", *XYZ_DOUBLE),
                        "3: malformed header line 'element vertex -1'"),
     "face-without-list": (ply_header("binary_little_endian", "element vertex 3",

@@ -13,7 +13,7 @@ from nrreg import Shape, TransformStack, load_shape, save_shape
 from nrreg.cli import CliError, load_transforms, main, save_transforms
 from nrreg.correspondence import save_correspondences
 
-from conftest import PLY_FAULTS, two_strips
+from conftest import DUPLICATE_SUSPECTS, PLY_FAULTS, duplicated_strip, two_strips
 
 
 def run(*argv):
@@ -423,6 +423,8 @@ ERROR_CAUSES = {
     "ply-unknown-type": "bad.ply:" + PLY_FAULTS["unknown-type"][1],
     "ply-element-count-word": "bad.ply:" + PLY_FAULTS["element-count-word"][1],
     "ply-polyline-list": "bad.ply:" + PLY_FAULTS["polyline-list"][1],
+    "ply-binary-color-out-of-range":
+        "bad.ply:" + PLY_FAULTS["binary-color-out-of-range"][1],
 }
 
 
@@ -463,7 +465,8 @@ class TestSolverFaults:
     def test_singular_reason_text(self, variant, reason, tmp_path, capsys):
         # the reason reads as the full 4N x 4N factorization gave it: under
         # l2 the flat second strip's linear parts have an exactly zero
-        # direction, which SuperLU reports as an exactly singular factor
+        # direction, which an LU factorization reports as an exactly singular
+        # factor
         template, target, landmarks = two_strips()
         save_shape(template, tmp_path / "template.ply")
         save_shape(target, tmp_path / "target.ply")
@@ -475,6 +478,20 @@ class TestSolverFaults:
         assert capsys.readouterr().err == (
             f"error: solver failure: singular system: {reason}; "
             f"suspect vertex blocks {list(range(24, 48))}\n")
+
+    def test_duplicate_template_vertices(self, tmp_path, capsys):
+        # dual_sparse registers; l2 fails on one error line
+        template, target = duplicated_strip()
+        save_shape(template, tmp_path / "template.ply")
+        save_shape(target, tmp_path / "target.ply")
+        argv = ("register", "--template", str(tmp_path / "template.ply"),
+                "--target", str(tmp_path / "target.ply"))
+        assert run(*argv, "--out", str(tmp_path / "dual")) == 0
+        capsys.readouterr()
+        assert run(*argv, "--variant", "l2", "--out", str(tmp_path / "l2")) == 1
+        assert capsys.readouterr().err == (
+            "error: solver failure: singular system: zero pivot; "
+            f"suspect vertex blocks {DUPLICATE_SUSPECTS}\n")
 
     def test_far_target_exit_one(self, instance, tmp_path, capsys):
         target = load_shape(instance / "target.ply")

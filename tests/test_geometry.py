@@ -118,6 +118,27 @@ class TestLoadShape:
         assert shape.vertices.dtype == np.float64
         assert shape.vertices.tolist() == [[0, 1, 2], [3, 4, 5]]
 
+    @pytest.mark.parametrize("name, value, loads", [
+        ("float", 2.0, True), ("float", 300.0, False), ("float", -1.0, False),
+        ("float", 2.5, False), ("float", float("nan"), False),
+        ("int", 2, True), ("int", 300, False), ("int", -1, False)])
+    def test_binary_colors_checked_as_ascii(self, tmp_path, name, value, loads):
+        # binary colors are integers in 0-255 as ASCII ones are: no value
+        # wraps or truncates into that range
+        code = PLY_SPEC_TYPES[name]
+        path = tmp_path / "c.ply"
+        path.write_bytes(
+            ply_header("binary_little_endian", "element vertex 1", *XYZ_FLOAT,
+                       f"property {name} red", f"property {name} green",
+                       f"property {name} blue")
+            + struct.pack(f"<3f3{code}", 0, 0, 0, 7, value, 255))
+        if loads:
+            assert load_shape(path).colors.tolist() == [[7, 2, 255]]
+            return
+        with pytest.raises(MeshParseError) as err:
+            load_shape(path)
+        assert str(err.value) == f"{path}:0: bad vertex value"
+
     @pytest.mark.parametrize("flags_first", [False, True])
     def test_ascii_ply_irregular_rows(self, tmp_path, flags_first):
         # tabs, CR-LF, extra tokens, a second face list, a scalar face

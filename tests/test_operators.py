@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky_banded
 from scipy.optimize import minimize
 from scipy.sparse.linalg import splu
 
@@ -474,6 +475,19 @@ class TestFactorizeAndSolve:
             factorize_system(1.0, 1.0, 0.0, sys_)
         assert {3, 4} <= set(exc.value.vertex_blocks)
 
+    def test_condensed_singular_reason(self):
+        # with the rotation penalty the 3x3 blocks are definite, so the
+        # condensed factorization meets the isolated unmatched vertices'
+        # positions, whose rows are exactly zero
+        verts = random_cloud(5, seed=6)
+        edges = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]])
+        corr = CorrespondenceMap(np.array([1, 2, 3, 0, 0]))
+        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges, corr, verts)
+        with pytest.raises(SingularSystemError) as exc:
+            factorize_system(1.0, 1.0, 0.2, sys_)
+        assert str(exc.value) == ("singular system: Factor is exactly singular; "
+                                  "suspect vertex blocks [3, 4]")
+
     def test_suspect_blocks_match_per_vertex_loop(self):
         # full-rank diagonal blocks except 2 and 7, plus dense off-diagonal
         # coupling that must not count towards any block's rank
@@ -733,12 +747,12 @@ class TestFixedPatternSystemMatrix:
 class TestBlockOrdering:
     def test_order_is_block_permutation_built_once(self, bend_instance,
                                                    monkeypatch):
-        # one minimum-degree order of the condensed N x N pattern per
+        # one reverse Cuthill-McKee order of the condensed N x N pattern per
         # registration, however many factorizations the inner loop runs
         import nrreg.operators
         import nrreg.solver
         counts = {"order": 0, "factorize": 0}
-        order_fn = nrreg.operators.min_degree_order
+        order_fn = nrreg.operators.reverse_cuthill_mckee
         factorize = nrreg.solver.factorize_system
 
         def counted_order(*args):
@@ -749,7 +763,7 @@ class TestBlockOrdering:
             counts["factorize"] += 1
             return factorize(*args)
 
-        monkeypatch.setattr(nrreg.operators, "min_degree_order", counted_order)
+        monkeypatch.setattr(nrreg.operators, "reverse_cuthill_mckee", counted_order)
         monkeypatch.setattr(nrreg.solver, "factorize_system", counted_factorize)
         b = bend_instance
         res = register(b["template"], b["target"], b["landmarks"],
@@ -760,7 +774,13 @@ class TestBlockOrdering:
         n = st_.n
         np.testing.assert_array_equal(np.sort(st_.order), np.arange(n))
         assert not np.array_equal(st_.order, np.arange(n))
-        assert len(st_.condensed_indptr) == n + 1
+        # each condensed entry has its own slot of the (bandwidth + 1, N)
+        # band, vertex diagonals on the band's first row
+        width = st_.bandwidth + 1
+        assert len(np.unique(st_.band_index)) == len(st_.band_index)
+        assert st_.band_index.max() < width * n
+        np.testing.assert_array_equal(st_.band_index[st_.pp_slot[:n]],
+                                      width * np.argsort(st_.order))
 
     @settings(max_examples=300, deadline=None)
     @given(weighted_systems())
@@ -787,24 +807,25 @@ class TestBlockOrdering:
         assert residual <= 1e-10 * (eig[-1] * np.linalg.norm(x) + np.linalg.norm(rhs))
 
     def test_singular_names_original_vertices(self):
-        # isolated unmatched vertices at the end of the vertex order, which
-        # the minimum-degree order moves to the front
+        # isolated unmatched vertices at the front of the vertex order, which
+        # the reverse Cuthill-McKee order moves to the end
         verts = random_cloud(12, seed=21)
-        knn = knn_edges(verts[:9], 4)
+        knn = knn_edges(verts[3:], 4) + 3
         edges = np.unique(np.concatenate([knn, knn[:, ::-1]]), axis=0)
-        corr = CorrespondenceMap(np.r_[np.arange(1, 10), 0, 0, 0])
+        corr = CorrespondenceMap(np.r_[0, 0, 0, np.arange(4, 13)])
         sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
                                corr, verts)
         position = np.argsort(sys_.structure.order)
-        assert np.all(position[9:] != np.arange(9, 12))
+        assert np.all(position[:3] >= 9)
         with pytest.raises(SingularSystemError) as exc:
             factorize_system(1.0, 1.0, 0.0, sys_)
-        assert exc.value.vertex_blocks == (9, 10, 11)
-        assert "suspect vertex blocks [9, 10, 11]" in str(exc.value)
+        assert exc.value.vertex_blocks == (0, 1, 2)
+        assert "suspect vertex blocks [0, 1, 2]" in str(exc.value)
 
     def test_fill_no_worse_than_per_call_colamd(self):
         # oracle: SuperLU's default COLAMD order of the scalar columns,
-        # computed per call on the vertex-order matrix
+        # computed per call on the vertex-order matrix; the band's
+        # (bandwidth + 1) N slots hold no more than its L + U
         template = make_strip(20, 20, 0.1, relief=0.5)
         n = template.n_vertices
         rng = np.random.default_rng(22)
@@ -814,14 +835,16 @@ class TestBlockOrdering:
                                template.vertices, rng.random(n) + 0.01,
                                rng.random(len(template.edges)) + 0.01)
         for mu1, mu2, beta in [(1.0, 1.0, 0.2), (2.0 ** 10, 2.0 ** 10, 0.2)]:
-            lu = factorize_system(mu1, mu2, beta, sys_)._lu
+            band = factorize_system(mu1, mu2, beta, sys_)._band
+            assert band.shape == (sys_.structure.bandwidth + 1, n)
             ref = splu(system_matrix(mu1, mu2, beta, sys_),
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            assert lu.L.nnz + lu.U.nnz <= ref.L.nnz + ref.U.nnz
+            assert band.size <= ref.L.nnz + ref.U.nnz
 
     def test_exact_zeros_leave_pattern_intact(self, monkeypatch):
-        # exact-zero entries: every factorization hands SuperLU the shared,
-        # read-only N x N pattern, and a second factorization solves the same
+        # exact-zero entries: every factorization scatters into a band of its
+        # own through the shared, read-only band index, which stays intact,
+        # and a second factorization solves the same
         import nrreg.operators
         verts = random_cloud(12, seed=23)
         verts[:, 2] = 0.0
@@ -830,24 +853,22 @@ class TestBlockOrdering:
                                CorrespondenceMap(np.arange(1, 13)), verts)
         st_ = sys_.structure
         assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * st_.n_blocks
-        pattern = st_.condensed_indptr.copy(), st_.condensed_indices.copy()
+        index = st_.band_index.copy()
         factored = []
-        monkeypatch.setattr(nrreg.operators, "splu",
-                            lambda a, **kw: factored.append(a) or splu(a, **kw))
+        monkeypatch.setattr(nrreg.operators, "cholesky_banded", lambda ab, **kw:
+                            factored.append(ab) or cholesky_banded(ab, **kw))
         rhs = np.random.default_rng(24).standard_normal((48, 3))
         first = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
         second = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
         np.testing.assert_array_equal(first, second)
         assert len(factored) == 2
-        for a in factored:
-            assert a.shape == (12, 12)
-            assert np.shares_memory(a.indices, st_.condensed_indices)
-            assert np.shares_memory(a.indptr, st_.condensed_indptr)
-        np.testing.assert_array_equal(st_.condensed_indptr, pattern[0])
-        np.testing.assert_array_equal(st_.condensed_indices, pattern[1])
-        for arr in (st_.condensed_indptr, st_.condensed_indices):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+        for ab in factored:
+            assert ab.shape == (st_.bandwidth + 1, 12)
+            assert ab.flags.f_contiguous
+        assert not np.shares_memory(*factored)
+        np.testing.assert_array_equal(st_.band_index, index)
+        with pytest.raises(ValueError):
+            st_.band_index[0] = 1
         dense = system_matrix(1.0, 1.0, 0.3, sys_).toarray()
         np.testing.assert_allclose(dense @ first, rhs, atol=1e-9)
 
@@ -885,6 +906,35 @@ class TestCondensedSolve:
         residual = np.linalg.norm(dense @ x - rhs)
         assert residual <= 1e-14 * (eig[-1] * np.linalg.norm(x) + np.linalg.norm(rhs))
         assert handle.pivot_ratio >= oracle_ratio
+
+    @pytest.mark.parametrize("beta", [0.0, 0.2])
+    def test_pivot_ratio_reads_ldlt_pivots(self, beta):
+        # oracle, dense: T^T A T for x_i = T_i z_i, z_i = (a_i, p_i), its 3x3
+        # linear-part blocks, and their Schur complement in p, factorized by
+        # Cholesky in the structure's order: the pivots are L_ii^2 and the
+        # blocks' LDL^T pivots times the structure's pivot scale
+        sys_ = weighted_mesh_system(12, 12)
+        st_ = sys_.structure
+        n = st_.n
+        t = np.zeros((n, 4, 4))
+        t[:, :3, :3] = np.eye(3)
+        t[:, 3, :3] = -st_.vh[:, :3]
+        t[:, 3, 3] = 1.0
+        t = sp.block_diag(list(t)).toarray()
+        a = t.T @ system_matrix(2.0 ** 8, 2.0 ** 8, beta, sys_).toarray() @ t
+        lin = (4 * np.arange(n)[:, None] + np.arange(3)).reshape(-1)
+        pos = 4 * np.arange(n) + 3
+        m = a[np.ix_(lin, lin)]
+        schur = a[np.ix_(pos, pos)] - a[np.ix_(pos, lin)] @ np.linalg.solve(
+            m, a[np.ix_(lin, pos)])
+        diag = np.arange(n)
+        blocks = np.linalg.cholesky(m.reshape(n, 3, n, 3)[diag, :, diag])
+        pivots = np.concatenate([
+            np.diag(np.linalg.cholesky(schur[np.ix_(st_.order, st_.order)])) ** 2,
+            st_.pivot_scale * np.diagonal(blocks, axis1=1, axis2=2).reshape(-1) ** 2])
+        handle = factorize_system(2.0 ** 8, 2.0 ** 8, beta, sys_)
+        ratio = pivots.min() / pivots.max()
+        assert handle.pivot_ratio == pytest.approx(ratio, rel=1e-8)
 
     @pytest.mark.parametrize("nx", [400, 800])
     def test_pivot_ratio_independent_of_strip_length(self, nx):

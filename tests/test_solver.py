@@ -31,7 +31,7 @@ from nrreg.synthesis import (
     perturb_outliers,
 )
 
-from conftest import random_cloud, two_strips
+from conftest import DUPLICATE_SUSPECTS, duplicated_strip, random_cloud, two_strips
 
 
 def symmetric_knn(verts, k):
@@ -402,6 +402,23 @@ class TestL2Baseline:
         assert exc.value.vertex_blocks == expected
         assert str(exc.value) == ("singular system: zero pivot; suspect vertex "
                                   f"blocks {list(expected)}")
+
+    def test_duplicate_template_vertices(self):
+        # dual_sparse converges; under l2 the named vertices are exactly
+        # those whose incoming k-NN edge vectors v_i - v_j span fewer than
+        # three directions (an edge to a duplicate twin has length zero), so
+        # with no rotation penalty their linear parts keep a free direction
+        template, target = duplicated_strip()
+        assert register(template, target, None, SolverConfig()).converged
+        v = template.vertices
+        edges = build_edge_graph(template, SolverConfig().knn_k)
+        assert [j for j in range(len(v)) if np.linalg.matrix_rank(
+            v[edges[edges[:, 1] == j, 0]] - v[j], tol=1e-9) < 3] == DUPLICATE_SUSPECTS
+        with pytest.raises(SingularSystemError) as exc:
+            register(template, target, None, SolverConfig(variant="l2"))
+        assert exc.value.vertex_blocks == tuple(DUPLICATE_SUSPECTS)
+        assert str(exc.value) == ("singular system: zero pivot; suspect vertex "
+                                  f"blocks {DUPLICATE_SUSPECTS}")
 
     def test_large_alpha_collapses_to_common_transform(self):
         # 1e8 rather than 1e12: the factorization's relative zero-pivot guard
