@@ -90,14 +90,16 @@ def save_correspondences(corr, path):
             fh.write(f"{i} {corr.mapping[i] - 1}\n")
 
 
-def closest_point_refresh(deformed, target, max_dist=3.0, max_normal_angle=60.0):
+def closest_point_refresh(deformed, target, max_dist=3.0, max_normal_angle=60.0,
+                          lbar=None):
     """ICP-style closest-point correspondences with distance and normal gates.
 
-    ``max_dist`` is a multiple of the target mean edge length; matches beyond
-    it are rejected, as are matches whose normals disagree by more than
-    ``max_normal_angle`` degrees (skipped if either shape lacks normals).
-    Exact kd-tree search (``geometry.nearest_neighbors``); ties go to the
-    lowest target index.
+    ``max_dist`` is a multiple of the target mean edge length ``lbar``
+    (computed here unless given: a caller refreshing against one target many
+    times passes it in); matches beyond it are rejected, as are matches
+    whose normals disagree by more than ``max_normal_angle`` degrees
+    (skipped if either shape lacks normals). Exact kd-tree search
+    (``geometry.nearest_neighbors``); ties go to the lowest target index.
     """
     if target.n_vertices == 0:
         raise ValueError("target is empty")
@@ -110,11 +112,11 @@ def closest_point_refresh(deformed, target, max_dist=3.0, max_normal_angle=60.0)
 
     accept = np.ones(n, dtype=bool)
     if np.isfinite(max_dist):
-        if len(target.edges):
+        if lbar is None:
+            if not len(target.edges):
+                from dataclasses import replace
+                target = replace(target, edges=build_edge_graph(target))
             lbar = mean_edge_length(target)
-        else:
-            from dataclasses import replace
-            lbar = mean_edge_length(replace(target, edges=build_edge_graph(target)))
         accept &= dists <= max_dist * lbar
     if deformed.normals is not None and target.normals is not None:
         cos_thresh = np.cos(np.deg2rad(max_normal_angle))

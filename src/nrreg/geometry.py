@@ -202,9 +202,11 @@ def compute_vertex_normals(shape):
         raise ValueError("vertex normals require faces")
     v, f = shape.vertices, shape.faces
     fn = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    acc = np.zeros_like(v)
-    for c in range(3):
-        np.add.at(acc, f[:, c], fn)
+    # every face's normal to its corners 0, 1, 2 in turn, added in that
+    # order: bit for bit three ``np.add.at`` passes, one pass per coordinate
+    corners = f.T.reshape(-1)
+    acc = np.stack([np.bincount(corners, np.tile(fn[:, k], 3), minlength=len(v))
+                    for k in range(3)], axis=1)
     lens = np.linalg.norm(acc, axis=1)
     fallback = lens < 1e-12
     out = np.where(fallback[:, None], np.array([0.0, 0.0, 1.0]), acc)

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 
@@ -76,12 +76,14 @@ class TransformStack:
 
 # component c = 4a + b of a 4x4 block is its entry (a, b); _TRANSPOSED[c] is
 # the component of entry (b, a), and _S_COMPONENTS those of S's diagonal ones.
-# In node-relative unknowns (a, p), _LOWER are the lower triangle of the
-# linear part's 3x3 block (entries 00, 10, 11, 20, 21, 22), _COUPLE the
+# In node-relative unknowns (a, p), _LINEAR are the linear part's 3x3 block
+# in row-major order, _LOWER the positions in it of its lower triangle
+# (entries 00, 10, 11, 20, 21, 22), _COUPLE the
 # entries (p, a) and _PP the entry (p, p)
 _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(-1)
 _S_COMPONENTS = [0, 5, 10]
-_LOWER = [0, 4, 5, 8, 9, 10]
+_LINEAR = [0, 1, 2, 4, 5, 6, 8, 9, 10]
+_LOWER = [0, 3, 4, 6, 7, 8]
 _COUPLE = slice(12, 15)
 _PP = 15
 _E_P = np.eye(4)[:, 3:]      # (4, 1): the p slot of a node-relative block
@@ -126,20 +128,25 @@ class SystemStructure:
 
     In node-relative unknowns (see ``factorize_system``) block (r, j) couples
     p_r with vertex j's linear part only if r = j or (r, j) is an edge:
-    ``couple_blocks``, grouped by column, with rows ``couple_row`` and
-    columns ``couple_col``. Eliminating the linear parts couples every two
-    rows of one column: pair k couples ``pair_first[k]`` with
-    ``pair_second[k]`` (indices into ``couple_blocks``) and adds to the
-    condensed entry ``pair_slot[k]``, one per vertex pair lo <= hi; so does
-    block ``pp_blocks[k]`` (the blocks with row <= column, vertex diagonals
-    first) to ``pp_slot[k]``. ``order`` is the reverse Cuthill-McKee order
-    of the condensed pattern (George & Liu 1981), position k holding vertex
-    order[k]; in that order every condensed entry lies within ``bandwidth``
-    of the diagonal, and condensed entry k goes to the read-only flat index
-    ``band_index[k]`` of the Fortran-order (bandwidth + 1, N) lower band
-    LAPACK's banded Cholesky reads. The singular test scales the
-    linear parts' pivots by ``pivot_scale`` = s^-2, s the power of two
-    nearest the RMS edge-vector length (1 without edges).
+    ``couple_blocks``, grouped by column, with columns ``couple_col``;
+    ``couple_indptr`` and ``couple_rows`` are the pattern of the (N, 3N) CSC
+    matrix whose column dN + j holds component d of the blocks of column j
+    in their rows. Eliminating the linear parts couples every
+    two rows of one column: pair k couples ``pair_first[k]`` with
+    ``pair_second[k]`` (indices into ``couple_blocks``), and
+    ``pair_indptr``, ``pair_rows`` are the pattern of the CSC matrix whose
+    column dN + j holds the pairs of column j, each in the row of the band
+    slot its vertex pair lo <= hi takes. Block ``pp_blocks[k]`` (the blocks
+    with row <= column, vertex diagonals first) adds to condensed entry
+    ``pp_slot[k]``, band slot ``pp_band[k]``. ``order`` is the reverse
+    Cuthill-McKee order of the condensed pattern (George & Liu 1981),
+    position k holding vertex order[k]; in that order every condensed entry
+    lies within ``bandwidth`` of the diagonal, and condensed entry k goes to
+    the read-only flat index ``band_index[k]`` of the Fortran-order
+    (bandwidth + 1, N) lower band LAPACK's banded Cholesky reads. The
+    singular test scales the linear parts' pivots by ``pivot_scale`` =
+    s^-2, s the power of two nearest the RMS edge-vector length (1 without
+    edges).
     """
 
     def __init__(self, vertices, edges):
@@ -183,9 +190,8 @@ class SystemStructure:
         self.pp_blocks = np.flatnonzero(self._row <= self._col)
         self.pp_slot = np.searchsorted(
             pair_keys, self._row[self.pp_blocks] * n + self._col[self.pp_blocks])
-        self.couple_blocks, self.couple_row, self.couple_col, self.pair_first, \
-            self.pair_second, self.pair_slot = (
-                a.astype(np.int32) for a in (blocks, row, col, first, second, pair_slot))
+        self.couple_blocks, self.couple_col, self.pair_first, self.pair_second = (
+            a.astype(np.int32) for a in (blocks, col, first, second))
 
         lo, hi = np.divmod(pair_keys, n)
         # the upper triangle of the pattern: the order is that of its A + A^T
@@ -195,7 +201,17 @@ class SystemStructure:
         r, c = position[lo], position[hi]
         below = np.abs(r - c)
         self.bandwidth = int(below.max(initial=0))
-        self.band_index, = _read_only(below + (self.bandwidth + 1) * np.minimum(r, c))
+        self.band_index, = _read_only(
+            (below + (self.bandwidth + 1) * np.minimum(r, c)).astype(np.int32))
+        # columns dN + j, d = 0, 1, 2, repeat the rows of column group j
+        per_col = np.bincount(col, minlength=n)
+        self.pp_band, self.couple_indptr, self.couple_rows, self.pair_indptr, \
+            self.pair_rows = _read_only(*(a.astype(np.int32, copy=False) for a in (
+                self.band_index[self.pp_slot],
+                np.cumsum(np.r_[0, np.tile(per_col, 3)]),
+                np.tile(row.astype(np.int32), 3),
+                np.cumsum(np.r_[0, np.tile(per_col * (per_col + 1) // 2, 3)]),
+                np.tile(self.band_index[pair_slot], 3))))
 
     @cached_property
     def vertex_pattern(self):
@@ -212,13 +228,83 @@ class SystemStructure:
         return self.vertex_pattern[1]
 
     @cached_property
-    def unit_smooth_terms(self):
-        """K_S at unit weights in node-relative unknowns: the smoothness term
+    def unit_penalty_basis(self):
+        """The ``PenaltyBasis`` of K_S at unit weights: the smoothness term
         the binary acquisition phase and the l2 baseline use at every outer
         iteration, built and checked once per structure."""
         ks = normal_blocks(self, None, np.ones(len(self.edges)))[1]
         _assert_symmetric(ks, self.block_T)
-        return ks
+        terms = _basis_terms(self, ks)
+        del ks          # all 16 components of every block: free it first
+        return PenaltyBasis(self, *terms)
+
+    @cached_property
+    def VT(self):
+        """V^T as a read-only CSR matrix, for the right-hand sides."""
+        return _read_only_csr(self.V.T)
+
+    @cached_property
+    def BT(self):
+        """B^T as a read-only CSR matrix, for the right-hand sides."""
+        return _read_only_csr(self.B.T)
+
+
+def _read_only_csr(a):
+    a = a.tocsr()
+    _read_only(a.data, a.indices, a.indptr)
+    return a
+
+
+def _basis_terms(structure, ks):
+    """What a ``PenaltyBasis`` reads of K_S: the linear parts of its vertex
+    diagonal blocks (9, N), its couple blocks' (p, a) entries (3, n_couple)
+    and its values at ``pp_blocks``."""
+    return (ks[_LINEAR, :structure.n], ks[_COUPLE].take(structure.couple_blocks, axis=1),
+            ks[_PP, structure.pp_blocks])
+
+
+class PenaltyBasis:
+    """What one K_S fixes of every factorization at any mu1, mu2 and beta.
+
+    Vertex j's linear-part block is M_j = beta I + mu2 G_j, G_j the linear
+    part of K_S's diagonal block, so the eigendecomposition G_j = Q_j
+    Lambda_j Q_j^T (``lam`` (3, N)) makes every M_j^-1 = Q_j F_j Q_j^T with
+    F_j = diag(1 / (beta + mu2 lambda)) (the varying-penalty caching of
+    Boyd et al. 2011, section 4.2). ``lift`` (N, 4, 3) holds
+    [Q_j; -v_j^T Q_j], the way from the eigenbasis back to X coordinates;
+    its transpose Q_j^T [I | -v_j] is the way there. ``H`` is the (N, 3N)
+    coupling Q_j^T g of every couple block g of K_S, column dN + j (``HT``
+    its transpose, on the same arrays). ``P`` maps the (3N,) diagonal of F
+    to the Schur complement's band: column dN + j holds h_d h'_d for each
+    pair (h, h') of couple blocks in column j. ``lower`` (6, N) are the
+    lower triangles of the G_j, ``ks_pp`` K_S's values at ``pp_band``. The
+    arguments are ``_basis_terms`` of K_S.
+    """
+
+    def __init__(self, structure, linear, g, ks_pp):
+        st = structure
+        n = st.n
+        self.lower = linear[_LOWER]
+        lam, q = np.linalg.eigh(linear.T.reshape(n, 3, 3))
+        self.lam = lam.T
+        self.lift = np.concatenate(
+            [q, -np.einsum("ncd,nc->nd", q, st.vh[:, :3])[:, None]], axis=1)
+        # h_d = sum_c Q_cd g_c, one component c of the column's Q_j at a time
+        qt = q.transpose(1, 2, 0)                              # (c, d, N)
+        h = qt[0].take(st.couple_col, axis=1)
+        h *= g[0]
+        for c in (1, 2):
+            h += qt[c].take(st.couple_col, axis=1) * g[c]
+        self.H = sp.csc_matrix((h.reshape(-1), st.couple_rows, st.couple_indptr),
+                               shape=(n, 3 * n))
+        self.HT = self.H.T
+        pairs = np.empty((3, len(st.pair_first)))
+        for d in range(3):
+            h[d].take(st.pair_first, out=pairs[d])
+            pairs[d] *= h[d].take(st.pair_second)
+        self.P = sp.csc_matrix((pairs.reshape(-1), st.pair_rows, st.pair_indptr),
+                               shape=((st.bandwidth + 1) * n, 3 * n))
+        self.ks_pp = ks_pp
 
 
 def normal_blocks(structure, w_data, w_smooth, node=True):
@@ -305,9 +391,10 @@ class SystemMatrices:
 
     @cached_property
     def normal_terms(self):
-        """(K_D, K_S) in node-relative unknowns for these weights, built and
-        checked for symmetry once per instance (see ``normal_blocks``), K_S
-        taken from the structure when every smoothness weight is 1;
+        """(K_D, basis): K_D in node-relative unknowns for these weights and
+        the ``PenaltyBasis`` of K_S, both built and checked for symmetry once
+        per instance (see ``normal_blocks``); the basis is the structure's
+        when every smoothness weight is 1. K_S itself is not kept.
         ``replace`` makes a new instance, so new weights never meet old
         values."""
         st = self.structure
@@ -315,9 +402,9 @@ class SystemMatrices:
         kd, ks = normal_blocks(st, self.w_data, None if unit else self.w_smooth)
         _assert_symmetric(kd, st.block_T[:self.n])
         if unit:
-            return kd, st.unit_smooth_terms
+            return kd, st.unit_penalty_basis
         _assert_symmetric(ks, st.block_T)
-        return kd, ks
+        return kd, PenaltyBasis(st, *_basis_terms(st, ks))
 
     def data_residual(self, X):
         """W_D (V X - U_f) as an (N, 3) dense matrix."""
@@ -564,20 +651,6 @@ def _cholesky3(m):
         return np.stack([l00, l10, l11, l20, l21, np.sqrt(d2)]), np.stack([m00, d1, d2])
 
 
-def _forward(l, b):
-    """L^-1 b for the Cholesky rows ``l`` (6, ...) and b (3, ...)."""
-    y0 = b[0] / l[0]
-    y1 = (b[1] - l[1] * y0) / l[2]
-    return np.stack([y0, y1, (b[2] - l[3] * y0 - l[4] * y1) / l[5]])
-
-
-def _backward(l, b):
-    """L^-T b for the Cholesky rows ``l`` (6, ...) and b (3, ...)."""
-    x2 = b[2] / l[5]
-    x1 = (b[1] - l[4] * x2) / l[2]
-    return np.stack([(b[0] - l[1] * x1 - l[3] * x2) / l[0], x1, x2])
-
-
 class Factorization:
     """Reusable factorization of the transform-update system. ``solve``
     takes a (4N, k) right-hand side in X coordinates and vertex order and
@@ -585,11 +658,14 @@ class Factorization:
     unknowns, the elimination of the linear parts and the condensed N x N
     solve happen inside."""
 
-    def __init__(self, band, structure, chol, couple, pivot_ratio):
+    def __init__(self, band, structure, basis, f, mu2, pivot_ratio):
         self._band = band           # lower band of the condensed Cholesky factor
         self._structure = structure
-        self._chol = chol           # (6, N) Cholesky rows of the 3x3 blocks
-        self._couple = couple       # (N, 3N): entry (r, dN + j) is (L_j^-1 g)_d
+        self._basis = basis
+        # (N, 3, 4): F Q^T [I | -v]
+        self._forward = np.ascontiguousarray((basis.lift * f.T[:, None]).transpose(0, 2, 1))
+        self._mu2f = mu2 * f.T[:, :, None]             # (N, 3, 1)
+        self._mu2 = mu2
         self._pivot_ratio = pivot_ratio
         self.shape = (4 * structure.n, 4 * structure.n)
 
@@ -604,20 +680,19 @@ class Factorization:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {self.shape[0]}")
-        st = self._structure
-        n, v = st.n, st.vh[:, :3].T[:, :, None]
-        b = rhs.reshape(n, 4, -1).transpose(1, 0, 2)          # (4, N, k)
-        # T^T b, then L^-1 of its linear parts
-        y = _forward(self._chol[:, :, None], b[:3] - v * b[3])
-        c = b[3] - self._couple @ y.reshape(3 * n, -1)
+        st, basis = self._structure, self._basis
+        n = st.n
+        b = rhs.reshape(n, 4, -1)
+        # the linear parts in the eigenbasis: z = F Q^T [I | -v] b, (N, 3, k)
+        z = self._forward @ b
+        c = b[:, 3] - self._mu2 * (basis.H @ z.transpose(1, 0, 2).reshape(3 * n, -1))
         p = np.empty_like(c)
-        p[st.order] = cho_solve_banded((self._band, True), c[st.order],
-                                       overwrite_b=True, check_finite=False)
-        a = _backward(self._chol[:, :, None],
-                      y - (self._couple.T @ p).reshape(y.shape))
-        # back to X: t = p - A v
-        x = np.concatenate([a, (p - np.einsum("dnk,dnk->nk", v, a))[None]])
-        x = x.transpose(1, 0, 2).reshape(rhs.shape)
+        p[st.order] = dpbtrs(self._band, c[st.order], lower=1, overwrite_b=1)[0]
+        y = z - self._mu2f * (basis.HT @ p).reshape(3, n, -1).transpose(1, 0, 2)
+        # back to X: x = [Q; -v^T Q] y + e_p p
+        x = basis.lift @ y
+        x[:, 3] += p
+        x = x.reshape(rhs.shape)
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("solve produced non-finite values")
         return x
@@ -633,14 +708,15 @@ def factorize_system(mu1, mu2, beta, sys):
     p_i = a_i . v_i + t_i, so x_i = T_i z_i. There the data term touches only
     p, an edge row (i, j) touches p_i, p_j and a_j, and the rotation penalty
     only a, so the linear parts' block is block diagonal: M_j = beta I +
-    mu2 sum_(i, j) w^2 d d^T, d = v_i - v_j. Each M_j = L_j L_j^T is
-    eliminated by a batched 3x3 Cholesky (w = L_j^-1 g, never an inverse),
-    and LAPACK's banded Cholesky factorizes the N x N Schur complement in p,
-    scattered into the band of the registration's fixed reverse
-    Cuthill-McKee order (no ordering per call). K_D, K_S and their symmetry
-    check are once per system. The singular test reads the pivots L_ii^2
-    and the 3x3 pivots scaled by s^-2, which makes them commensurate; s is a
-    power of two, so no solution bit depends on it.
+    mu2 G_j, G_j = sum_(i, j) w^2 d d^T, d = v_i - v_j. In the system's
+    ``PenaltyBasis`` each M_j^-1 is the diagonal F_j, so the Schur
+    complement in p is mu2 K_S,pp + mu1 K_D,pp - mu2^2 P f, one sparse
+    product straight into the band of the registration's fixed reverse
+    Cuthill-McKee order (no ordering per call), which LAPACK's banded
+    Cholesky factorizes. K_D, K_S, their symmetry check and the basis are
+    once per system. The singular test reads the pivots L_ii^2 and the
+    3x3 blocks' LDL^T pivots scaled by s^-2, which makes them commensurate;
+    s is a power of two, so no solution bit depends on it.
     """
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("mu1 and mu2 must be positive")
@@ -648,37 +724,32 @@ def factorize_system(mu1, mu2, beta, sys):
         raise ValueError("beta must be nonnegative")
     st = sys.structure
     n = st.n
-    kd, ks = sys.normal_terms
-    m = mu2 * ks[_LOWER, :n]
+    kd, basis = sys.normal_terms
+    m = mu2 * basis.lower
     if beta != 0.0:
         m[[0, 2, 5]] += beta
-    chol, piv = _cholesky3(m)
+    piv = _cholesky3(m)[1]
     if not np.all(piv > 0):
         raise _singular(mu1, mu2, beta, sys)
-    # ``take`` gathers the same values as fancy indexing, about 3x faster here
-    w = _forward(chol.take(st.couple_col, axis=1),
-                 mu2 * ks[_COUPLE].take(st.couple_blocks, axis=1))
-    p = [w[d].take(st.pair_first) * w[d].take(st.pair_second) for d in range(3)]
-    s = -np.bincount(st.pair_slot, p[0] + p[1] + p[2])
-    s[st.pp_slot] += mu2 * ks[_PP, st.pp_blocks]
-    s[st.pp_slot[:n]] += mu1 * kd[_PP]
-    band = np.zeros((st.bandwidth + 1) * n)
-    band[st.band_index] = s
-    try:
-        band = cholesky_banded(band.reshape(st.bandwidth + 1, n, order="F"),
-                               overwrite_ab=True, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise _singular(mu1, mu2, beta, sys) from exc
+    # rounding can leave an eigenvalue of a nearly rank-deficient G_j
+    # below -beta / mu2 where the Cholesky pivots are still positive
+    diag = beta + mu2 * basis.lam
+    if not np.all(diag > 0):
+        raise _singular(mu1, mu2, beta, sys)
+    f = 1.0 / diag
+    band = basis.P @ f.reshape(-1)
+    band *= -mu2 * mu2
+    band[st.pp_band] += mu2 * basis.ks_pp
+    band = band.reshape(st.bandwidth + 1, n, order="F")
+    band[0] += mu1 * kd[_PP, st.order]
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise _singular(mu1, mu2, beta, sys)
     # a factor of a nearly singular matrix can come out with tiny pivots; check
     pivots = np.concatenate([np.square(band[0]), st.pivot_scale * piv.reshape(-1)])
     if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
         raise _singular(mu1, mu2, beta, sys)
-    # column dN + j holds component d of w for the rows of column group j
-    couple = sp.csc_matrix(
-        (w.reshape(-1), np.tile(st.couple_row, 3), np.concatenate(
-            [[0], np.cumsum(np.tile(np.bincount(st.couple_col, minlength=n), 3))])),
-        shape=(n, 3 * n))
-    return Factorization(band, st, chol, couple, pivots.min() / pivots.max())
+    return Factorization(band, st, basis, f, mu2, pivots.min() / pivots.max())
 
 
 def _singular(mu1, mu2, beta, sys):

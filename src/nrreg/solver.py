@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import correspondence as corrmod
-from .geometry import Shape, build_edge_graph, compute_vertex_normals
+from .geometry import Shape, build_edge_graph, compute_vertex_normals, mean_edge_length
 from .operators import (
     Factorization,
     SystemMatrices,
@@ -133,6 +133,7 @@ def admm_solve(sys, X_init, cfg):
     converged = False
     wU = sys.w_data[:, None] * sys.U_f
     data_update = DATA_UPDATES[cfg.variant]
+    VT, BT = sys.structure.VT, sys.structure.BT
     G1 = sys.data_residual(X)
     G2 = sys.smooth_residual(X)
     k = 0
@@ -146,9 +147,9 @@ def admm_solve(sys, X_init, cfg):
         # the rotation penalty enters with coefficient 2*beta (gradient of the
         # squared Frobenius term)
         handle = factorize_system(mu1, mu2, 2.0 * cfg.beta, sys)
-        rhs = sys.V.T @ (sys.w_data[:, None] * (Y1 + mu1 * (C + wU)))
+        rhs = VT @ (sys.w_data[:, None] * (Y1 + mu1 * (C + wU)))
         if ne:
-            rhs = rhs + sys.B.T @ (sys.w_smooth[:, None] * (Y2 + mu2 * A))
+            rhs = rhs + BT @ (sys.w_smooth[:, None] * (Y2 + mu2 * A))
         if cfg.beta > 0:
             rhs = rhs + 2.0 * cfg.beta * rotation_rhs(R)
         X = solve_X(handle, rhs)
@@ -220,7 +221,7 @@ def solve_l2_baseline(sys, alpha, held=None):
         binary = replace(sys, w_data=w, w_smooth=np.ones(sys.n_edges))
         held.handle = factorize_system(1.0, alpha, 0.0, binary)
         held.mask = mask
-    return solve_X(held.handle, sys.V.T @ (w[:, None] * sys.U_f))
+    return solve_X(held.handle, sys.structure.VT @ (w[:, None] * sys.U_f))
 
 
 def solve_variant(variant, sys, cfg, X_init=None, held=None):
@@ -297,6 +298,8 @@ def register(template, target, landmarks, cfg):
         # the refresh's distance gate needs the target's mean edge length;
         # build a faceless target's kNN graph once, not per outer iteration
         targ = replace(targ, edges=build_edge_graph(targ))
+    # the distance gate's unit, the same at every outer iteration
+    lbar = mean_edge_length(targ) if np.isfinite(cfg.max_dist_factor) else None
 
     structure = SystemStructure(tmpl.vertices, edges)
     held = L2Factorization()
@@ -316,7 +319,7 @@ def register(template, target, landmarks, cfg):
         # the template's edges: Shape need not derive them again from faces
         deformed = _shape_with_optional_normals(deformed_v, template.faces, edges)
         refreshed = corrmod.closest_point_refresh(
-            deformed, targ, cfg.max_dist_factor, cfg.max_normal_angle)
+            deformed, targ, cfg.max_dist_factor, cfg.max_normal_angle, lbar)
         corr = corrmod.merge(landmarks, refreshed)
         if corr.n_matched() == 0:
             raise RuntimeError(f"no correspondences at outer iteration {outer}")

@@ -518,6 +518,27 @@ class TestVertexNormals:
         with pytest.raises(ValueError, match="faces"):
             compute_vertex_normals(shape)
 
+    def test_bit_equal_to_add_at_passes(self):
+        # oracle: the face normals added to corners 0, 1, 2 by three
+        # unbuffered np.add.at passes; a relief mesh with degenerate faces
+        # (a repeated corner, three collinear corners) and an unused vertex
+        strip = make_strip(30, 9, 0.1, relief=0.5)
+        v = np.vstack([strip.vertices, strip.vertices[0] + [[0.05, 0, 0], [0.1, 0, 0]],
+                       [[5.0, 5.0, 5.0]]])
+        n = len(strip.vertices)
+        faces = np.vstack([strip.faces, [[0, 0, 1], [0, n, n + 1], [3, 3, 3]]])
+        shape = Shape(vertices=v, faces=faces)
+        fn = np.cross(v[faces[:, 1]] - v[faces[:, 0]], v[faces[:, 2]] - v[faces[:, 0]])
+        acc = np.zeros_like(v)
+        for c in range(3):
+            np.add.at(acc, faces[:, c], fn)
+        fallback = np.linalg.norm(acc, axis=1) < 1e-12
+        out = np.where(fallback[:, None], np.array([0.0, 0.0, 1.0]), acc)
+        normals, flags = compute_vertex_normals(shape)
+        assert np.array_equal(normals, out / np.linalg.norm(out, axis=1, keepdims=True))
+        np.testing.assert_array_equal(flags, fallback)
+        np.testing.assert_array_equal(np.flatnonzero(flags), [n, n + 1, n + 2])
+
 
 class TestShapeInvariants:
     def test_face_index_out_of_range(self):

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrf
 from scipy.optimize import minimize
 from scipy.sparse.linalg import splu
 
@@ -617,6 +617,21 @@ class TestSystemInvariants:
         v = assemble_V(verts)
         np.testing.assert_allclose(x.apply(verts), v @ x.stacked, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_cached_transposes_bit_equal(self, bend_instance, variant):
+        # the structure's CSR V^T and B^T give the right-hand sides bit for
+        # bit as the transposed views of V and B, on the final bend systems
+        b = bend_instance
+        st_ = register(b["template"], b["target"], b["landmarks"],
+                       replace(b["cfg"], variant=variant)).final_system.structure
+        rng = np.random.default_rng(13)
+        for cached, matrix in [(st_.VT, st_.V), (st_.BT, st_.B)]:
+            y = rng.standard_normal((matrix.shape[0], 3))
+            assert np.array_equal(cached @ y, matrix.T @ y)
+            for arr in (cached.data, cached.indices, cached.indptr):
+                assert not arr.flags.writeable
+        assert st_.VT is st_.VT and st_.BT is st_.BT
+
 
 # coordinates drawn partly from a coarse set, so exact zeros (and the entries
 # they zero out of K_D and K_S) occur often
@@ -843,8 +858,8 @@ class TestBlockOrdering:
 
     def test_exact_zeros_leave_pattern_intact(self, monkeypatch):
         # exact-zero entries: every factorization scatters into a band of its
-        # own through the shared, read-only band index, which stays intact,
-        # and a second factorization solves the same
+        # own through the shared, read-only band index and band rows, which
+        # stay intact, and a second factorization solves the same
         import nrreg.operators
         verts = random_cloud(12, seed=23)
         verts[:, 2] = 0.0
@@ -853,10 +868,10 @@ class TestBlockOrdering:
                                CorrespondenceMap(np.arange(1, 13)), verts)
         st_ = sys_.structure
         assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * st_.n_blocks
-        index = st_.band_index.copy()
+        index, rows = st_.band_index.copy(), st_.pair_rows.copy()
         factored = []
-        monkeypatch.setattr(nrreg.operators, "cholesky_banded", lambda ab, **kw:
-                            factored.append(ab) or cholesky_banded(ab, **kw))
+        monkeypatch.setattr(nrreg.operators, "dpbtrf", lambda ab, **kw:
+                            factored.append(ab) or dpbtrf(ab, **kw))
         rhs = np.random.default_rng(24).standard_normal((48, 3))
         first = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
         second = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)
@@ -867,8 +882,11 @@ class TestBlockOrdering:
             assert ab.flags.f_contiguous
         assert not np.shares_memory(*factored)
         np.testing.assert_array_equal(st_.band_index, index)
+        np.testing.assert_array_equal(st_.pair_rows, rows)
         with pytest.raises(ValueError):
             st_.band_index[0] = 1
+        with pytest.raises(ValueError):
+            st_.pair_rows[0] = 1
         dense = system_matrix(1.0, 1.0, 0.3, sys_).toarray()
         np.testing.assert_allclose(dense @ first, rhs, atol=1e-9)
 
@@ -935,6 +953,18 @@ class TestCondensedSolve:
         handle = factorize_system(2.0 ** 8, 2.0 ** 8, beta, sys_)
         ratio = pivots.min() / pivots.max()
         assert handle.pivot_ratio == pytest.approx(ratio, rel=1e-8)
+
+    def test_nonpositive_eigenvalue_is_singular(self):
+        # rounding can put an eigenvalue of a nearly rank-deficient linear
+        # block below -beta / mu2 where its Cholesky pivots stay positive:
+        # the factorization names the system singular, never divides by it
+        sys_ = weighted_mesh_system(12, 12)
+        basis = sys_.normal_terms[1]
+        assert basis is not sys_.structure.unit_penalty_basis
+        factorize_system(1.0, 1.0, 0.0, sys_)
+        basis.lam[0, 5] = -1e-17
+        with pytest.raises(SingularSystemError, match="singular system"):
+            factorize_system(1.0, 1.0, 0.0, sys_)
 
     @pytest.mark.parametrize("nx", [400, 800])
     def test_pivot_ratio_independent_of_strip_length(self, nx):

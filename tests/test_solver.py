@@ -179,6 +179,41 @@ class TestAdmmSolve:
             assert c_obj(c_star + delta) >= base - 1e-12
 
 
+class TestInnerLoopOracle:
+    def test_warm_started_energy_near_lp_optimum(self, bend_instance):
+        # criterion 3's instance (10 % landmarks) without the rotation
+        # penalty: at the final outer iteration's frozen weights the
+        # subproblem min ||W_D (V X - U)||_1 + alpha ||W_S B X||_1 is a linear
+        # program, one per column of X; the warm-started inner loop reaches
+        # its optimum to within 1 %
+        from scipy.optimize import linprog
+        from scipy.sparse import diags, hstack, identity, vstack
+        b = bend_instance
+        n = b["template"].n_vertices
+        cfg = replace(b["cfg"], beta=0.0)
+        res = register(b["template"], b["target"], landmark_subset(n, 0.1, seed=1),
+                       cfg)
+        sys_, state = res.final_system, res.final_state
+        data, smooth = diags(sys_.w_data) @ sys_.V, diags(sys_.w_smooth) @ sys_.B
+        ne = sys_.n_edges
+        zeros_d, zeros_s = np.zeros((n, ne)), np.zeros((ne, n))
+        a_ub = vstack([hstack([data, -identity(n), zeros_d]),
+                       hstack([-data, -identity(n), zeros_d]),
+                       hstack([smooth, zeros_s, -identity(ne)]),
+                       hstack([-smooth, zeros_s, -identity(ne)])]).tocsc()
+        cost = np.concatenate([np.zeros(4 * n), np.ones(n), np.full(ne, cfg.alpha)])
+        bounds = [(None, None)] * (4 * n) + [(0, None)] * (n + ne)
+        optimum = 0.0
+        for d in range(3):
+            u = sys_.w_data * sys_.U_f[:, d]
+            lp = linprog(cost, A_ub=a_ub, b_ub=np.concatenate([u, -u, np.zeros(2 * ne)]),
+                         bounds=bounds, method="highs")
+            assert lp.status == 0
+            optimum += lp.fun
+        achieved = evaluate_energy(state.X, sys_, state.R, cfg.alpha, 0.0)["total"]
+        assert optimum * (1 - 1e-6) <= achieved <= 1.01 * optimum
+
+
 class TestUpdateWeights:
     def test_values_from_residuals(self):
         verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
@@ -256,6 +291,59 @@ class TestRegister:
         # one kNN graph for the template and one for the target, however
         # many closest-point refreshes run
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("faces", [True, False], ids=["mesh", "cloud"])
+    def test_target_edge_length_once(self, bend_instance, monkeypatch, faces):
+        # the distance gate's mean target edge length is computed once per
+        # registration, and the results are those of computing it at every
+        # closest-point refresh
+        import nrreg.correspondence
+        import nrreg.geometry
+        import nrreg.solver
+        b = bend_instance
+        target = b["target"] if faces else Shape(vertices=b["target"].vertices)
+        cfg = replace(b["cfg"], outer_iters=4)
+        calls = []
+
+        def counting(shape):
+            calls.append(shape.n_vertices)
+            return nrreg.geometry.mean_edge_length(shape)
+
+        for module in (nrreg.solver, nrreg.correspondence):
+            monkeypatch.setattr(module, "mean_edge_length", counting)
+        once = register(b["template"], target, b["landmarks"], cfg)
+        assert len(once.log) == 4 and calls == [target.n_vertices]
+        refresh = nrreg.correspondence.closest_point_refresh
+        monkeypatch.setattr(nrreg.solver.corrmod, "closest_point_refresh",
+                            lambda *args: refresh(*args[:4]))
+        every = register(b["template"], target, b["landmarks"], cfg)
+        assert len(calls) == 1 + 1 + len(every.log)
+        assert once.transforms.blocks.tobytes() == every.transforms.blocks.tobytes()
+        assert json.dumps(once.log, sort_keys=True) == \
+            json.dumps(every.log, sort_keys=True)
+
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_penalty_basis_built_once_per_weights(self, bend_instance,
+                                                  monkeypatch, variant):
+        # one eigenbasis per structure for the unit smoothness weights, and
+        # one per reweighted system, however many factorizations use them
+        import nrreg.operators
+        built = []
+
+        class CountingBasis(nrreg.operators.PenaltyBasis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(nrreg.operators, "PenaltyBasis", CountingBasis)
+        b = bend_instance
+        res = register(b["template"], b["target"], b["landmarks"],
+                       replace(b["cfg"], outer_iters=6, variant=variant))
+        reweighted = sum(e["reweighted"] for e in res.log)
+        assert reweighted == (2 if variant == "dual_sparse" else 0)
+        assert len(built) == 1 + reweighted
+        assert built[0] is res.final_system.structure.unit_penalty_basis
+        assert sum(e["factorizations"] for e in res.log) > len(built)
 
     @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
     def test_system_work_hoisted(self, bend_instance, monkeypatch, variant):
