@@ -68,7 +68,8 @@ def save_transforms(path, stack):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_transforms(path):
+def load_transforms(path, n_vertices=None):
+    """The transform file at ``path``; with ``n_vertices``, one per vertex."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith(TRANSFORM_HEADER):
@@ -77,6 +78,8 @@ def load_transforms(path):
         n = int(lines[0].split("N=")[1])
     except (IndexError, ValueError):
         raise CliError(f"{path}: malformed header {lines[0]!r}")
+    if n_vertices is not None and n != n_vertices:
+        raise CliError(f"{path}: {n} transforms for {n_vertices} template vertices")
     if len(lines) != 1 + 3 * n:
         raise CliError(f"{path}: expected {3 * n} data lines, got {len(lines) - 1}")
     try:
@@ -85,6 +88,8 @@ def load_transforms(path):
         raise CliError(f"{path}: {exc}")
     if vals.shape != (3 * n, 4):
         raise CliError(f"{path}: rows must hold 4 reals")
+    if not np.all(np.isfinite(vals)):
+        raise CliError(f"{path}: transform values must be finite")
     return TransformStack(vals.reshape(n, 3, 4))
 
 
@@ -243,7 +248,7 @@ def cmd_evaluate(args, timings):
     with _timed(timings, "load"):
         template = load_shape(args.template)
         gt = load_shape(args.ground_truth)
-        stack = load_transforms(args.transforms)
+        stack = load_transforms(args.transforms, template.n_vertices)
     with _timed(timings, "solve"):
         report = fitting_error(stack, template, gt.vertices)
     with _timed(timings, "write"):
@@ -257,7 +262,7 @@ def cmd_fit_residuals(args, timings):
         target = load_shape(args.target)
         corr = load_correspondences(args.corr, template.n_vertices,
                                     target.n_vertices)
-        stack = load_transforms(args.transforms)
+        stack = load_transforms(args.transforms, template.n_vertices)
     with _timed(timings, "solve"):
         edges = np.empty((0, 2), dtype=np.int64)
         sys_ = assemble_system(template, edges, corr, target.vertices)

@@ -264,6 +264,8 @@ def _load_obj(path):
             elif parts[0] == "f":
                 if len(parts) < 4:
                     raise MeshParseError(path, line_no, "face needs 3 indices")
+                if len(parts) > 4:
+                    raise MeshParseError(path, line_no, "only triangle faces supported")
                 try:
                     idx = [int(p.split("/")[0]) - 1 for p in parts[1:4]]
                 except ValueError:

@@ -68,6 +68,8 @@ class TransformStack:
     def apply(self, vertices):
         """Transform each vertex by its own block: (N, 3) -> (N, 3)."""
         vh = homogeneous(vertices)
+        if len(vh) != self.n:
+            raise ValueError(f"{len(vh)} vertices for {self.n} transforms")
         return np.einsum("nij,nj->ni", self.blocks, vh)
 
     def copy(self):
@@ -75,36 +77,16 @@ class TransformStack:
 
 
 # component c = 4a + b of a 4x4 block is its entry (a, b); _TRANSPOSED[c] is
-# the component of entry (b, a), and _S_COMPONENTS those of S's diagonal ones.
-# In node-relative unknowns (a, p), _LINEAR are the linear part's 3x3 block
-# in row-major order, _LOWER the positions in it of its lower triangle
-# (entries 00, 10, 11, 20, 21, 22), _COUPLE the
+# the component of entry (b, a). In node-relative unknowns (a, p), _LINEAR
+# are the linear part's 3x3 block in row-major order, _LOWER the positions in
+# it of its lower triangle (entries 00, 10, 11, 20, 21, 22), _COUPLE the
 # entries (p, a) and _PP the entry (p, p)
 _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(-1)
-_S_COMPONENTS = [0, 5, 10]
 _LINEAR = [0, 1, 2, 4, 5, 6, 8, 9, 10]
 _LOWER = [0, 3, 4, 6, 7, 8]
 _COUPLE = slice(12, 15)
 _PP = 15
 _E_P = np.eye(4)[:, 3:]      # (4, 1): the p slot of a node-relative block
-
-
-def _block_csc(row, col, n):
-    """Read-only CSC ``indptr``, ``indices`` of the 4n x 4n matrix whose
-    nonzero 4x4 blocks are (row[k], col[k]), and the (16, n_blocks) slot of
-    each block component. Scalar column 4J + b holds rows 4r..4r+3 of each
-    block (r, J) of block column J, in block-row order."""
-    order = np.lexsort((row, col))
-    count = np.bincount(col, minlength=n)
-    indptr = np.concatenate(
-        [[0], np.cumsum(np.repeat(4 * count, 4))]).astype(np.int32)
-    pos = np.empty(len(row), np.int64)
-    pos[order] = np.arange(len(row)) - (np.cumsum(count) - count)[col[order]]
-    a, b = np.arange(16)[:, None] // 4, np.arange(16)[:, None] % 4
-    slot = indptr[4 * col] + b * 4 * count[col] + 4 * pos + a
-    indices = np.empty(indptr[-1], np.int32)
-    indices[slot] = 4 * row + a
-    return (*_read_only(indptr, indices), slot)
 
 
 def _read_only(*arrays):
@@ -123,8 +105,7 @@ class SystemStructure:
     (a, b), vertex diagonals first; block ``block_T[k]`` is block k's
     transpose. ``edge_blocks`` lists the (i, i), (j, j), (i, j), (j, i)
     blocks of each edge (i, j) in ``edge_rows``, the rows of B with i != j
-    (a self-loop's row of B is zero). The vertex-order pattern ``indptr``,
-    ``indices``, which only ``system_matrix`` uses, is built on first use.
+    (a self-loop's row of B is zero).
 
     In node-relative unknowns (see ``factorize_system``) block (r, j) couples
     p_r with vertex j's linear part only if r = j or (r, j) is an edge:
@@ -163,11 +144,11 @@ class SystemStructure:
                               return_inverse=True)
         self.edge_blocks = np.column_stack(
             [e[:, 0], e[:, 1], n + inv[:m], n + inv[m:]]).astype(np.int32).reshape(-1)
-        self._row = np.concatenate([np.arange(n), keys // n])
-        self._col = np.concatenate([np.arange(n), keys % n])
-        self.n_blocks = len(self._row)
+        block_row = np.concatenate([np.arange(n), keys // n])
+        block_col = np.concatenate([np.arange(n), keys % n])
+        self.n_blocks = len(block_row)
         self.block_T = np.concatenate(
-            [np.arange(n), n + np.searchsorted(keys, self._col[n:] * n + self._row[n:])])
+            [np.arange(n), n + np.searchsorted(keys, block_col[n:] * n + block_row[n:])])
         d2 = np.square(self.vh[e[:, 0], :3] - self.vh[e[:, 1], :3]).sum(axis=1)
         ms = d2.mean() if m else 0.0
         # s within 2^-100 .. 2^100, so that no scaled pivot overflows
@@ -177,9 +158,9 @@ class SystemStructure:
         # the condensed system: the blocks (r, j) coupling p_r with a_j,
         # grouped by column j, and the pairs of them that share a column
         blocks = np.concatenate([np.arange(n), n + np.unique(inv[:m])])
-        by_col = np.lexsort((self._row[blocks], self._col[blocks]))
+        by_col = np.lexsort((block_row[blocks], block_col[blocks]))
         blocks = blocks[by_col]
-        row, col = self._row[blocks], self._col[blocks]
+        row, col = block_row[blocks], block_col[blocks]
         # pairs k <= k' within each column group: k' runs to the group's end
         reps = np.cumsum(np.bincount(col, minlength=n))[col] - np.arange(len(col))
         first = np.repeat(np.arange(len(col)), reps)
@@ -187,9 +168,9 @@ class SystemStructure:
         lo = np.minimum(row[first], row[second])
         hi = np.maximum(row[first], row[second])
         pair_keys, pair_slot = np.unique(lo * n + hi, return_inverse=True)
-        self.pp_blocks = np.flatnonzero(self._row <= self._col)
+        self.pp_blocks = np.flatnonzero(block_row <= block_col)
         self.pp_slot = np.searchsorted(
-            pair_keys, self._row[self.pp_blocks] * n + self._col[self.pp_blocks])
+            pair_keys, block_row[self.pp_blocks] * n + block_col[self.pp_blocks])
         self.couple_blocks, self.couple_col, self.pair_first, self.pair_second = (
             a.astype(np.int32) for a in (blocks, col, first, second))
 
@@ -212,20 +193,6 @@ class SystemStructure:
                 np.tile(row.astype(np.int32), 3),
                 np.cumsum(np.r_[0, np.tile(per_col * (per_col + 1) // 2, 3)]),
                 np.tile(self.band_index[pair_slot], 3))))
-
-    @cached_property
-    def vertex_pattern(self):
-        """(indptr, indices, slot): the read-only CSC pattern in vertex
-        order, and the (16, n_blocks) position of each block component."""
-        return _block_csc(self._row, self._col, self.n)
-
-    @property
-    def indptr(self):
-        return self.vertex_pattern[0]
-
-    @property
-    def indices(self):
-        return self.vertex_pattern[1]
 
     @cached_property
     def unit_penalty_basis(self):
@@ -307,35 +274,29 @@ class PenaltyBasis:
         self.ks_pp = ks_pp
 
 
-def normal_blocks(structure, w_data, w_smooth, node=True):
+def normal_blocks(structure, w_data, w_smooth):
     """K_D = (W_D V T)^T (W_D V T) and K_S = (W_S B T)^T (W_S B T) per block
     component, for T the per-vertex change to node-relative unknowns (see
-    ``factorize_system``), or T = I when ``node`` is false: (16, N) for K_D,
-    whose only blocks are the vertex diagonals, and (16, n_blocks) for K_S; a
-    term whose weights are None is None.
+    ``factorize_system``): (16, N) for K_D, whose only blocks are the vertex
+    diagonals, and (16, n_blocks) for K_S; a term whose weights are None is
+    None.
 
     Row i of V T is e_p in block i; the row of edge (i, j) of B T is e_p in
-    block i and -(v_i - v_j, 1) in block j. Without T they are vh_i, and
-    vh_i and -vh_i. Each entry is formed as a sparse product forms it:
-    products of weighted entries, summed over edges in edge order
-    (``np.bincount`` adds in input order), so without T the values are bit
-    for bit those of the products V^T W_D^2 V and B^T W_S^2 B.
+    block i and -(v_i - v_j, 1) in block j. Each entry is a sum of products
+    of weighted entries over edges in edge order (``np.bincount`` adds in
+    input order).
     """
     st = structure
     kd = ks = None
     if w_data is not None:
-        wv = w_data * (_E_P if node else st.vh.T)           # (4, N)
+        wv = w_data * _E_P                                  # (4, N)
         kd = (wv[:, None] * wv[None, :]).reshape(16, st.n)
     if w_smooth is not None:
         i, j = st.edges[st.edge_rows].T
         w = w_smooth[st.edge_rows]
-        if node:
-            d = st.vh[i] - st.vh[j]
-            d[:, 3] = 1.0
-            ri, rj = w * _E_P, -(w * d.T)                   # (4, E)
-        else:
-            ri = w * st.vh[i].T
-            rj = -ri
+        d = st.vh[i] - st.vh[j]
+        d[:, 3] = 1.0
+        ri, rj = w * _E_P, -(w * d.T)                       # (4, E)
         ks = np.empty((16, st.n_blocks))
         for c in range(16):
             a, b = divmod(c, 4)
@@ -605,35 +566,17 @@ def rotation_rhs(rotations):
     return out
 
 
-def _csc(data, indptr, indices):
-    """Square CSC matrix on a shared read-only pattern. Entries that are
-    exactly zero are dropped, as sparse arithmetic drops them, from a copy:
-    the pattern arrays are never written."""
-    n = len(indptr) - 1
-    a = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    if not data.all():
-        a = a.copy()
-        a.eliminate_zeros()
-    return a
-
-
 def system_matrix(mu1, mu2, beta, sys):
-    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i, sparse CSC
-    in vertex order, on the registration's fixed vertex-order pattern: bit
-    for bit the matrix the sparse products give. The factorization never
-    forms it; a singular system's report does."""
-    st = sys.structure
-    kd, ks = normal_blocks(st, sys.w_data, sys.w_smooth, node=False)
-    _assert_symmetric(kd, st.block_T[:st.n])
-    _assert_symmetric(ks, st.block_T)
-    values = mu2 * ks
-    values[:, :st.n] += mu1 * kd
-    if beta != 0.0:
-        values[_S_COMPONENTS, :st.n] += beta
-    indptr, indices, slot = st.vertex_pattern
-    data = np.empty(len(indices))
-    data[slot] = values
-    return _csc(data, indptr, indices)
+    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i from sparse
+    products, in canonical CSC form in vertex order; sparse arithmetic drops
+    the entries that come out exactly zero. The factorization never forms
+    it; a singular system's report does."""
+    wv = sp.diags(sys.w_data) @ sys.V
+    wb = sp.diags(sys.w_smooth) @ sys.B
+    a = mu1 * (wv.T @ wv) + mu2 * (wb.T @ wb) + beta * build_S_terms(sys.n)
+    a = a.tocsc()
+    a.sum_duplicates()
+    return a
 
 
 def _cholesky3(m):

@@ -51,6 +51,18 @@ class TestTransformFile:
         with pytest.raises(CliError, match="expected 6 data lines"):
             load_transforms(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "t.txt"
+        path.write_text(f"nonrigid-transforms v1 N=1\n1 0 0 0\n0 1 0 {value}\n0 0 1 0\n")
+        with pytest.raises(CliError, match="t.txt: transform values must be finite"):
+            load_transforms(path)
+
+
+def write_identity_transforms(path, n):
+    save_transforms(path, TransformStack.identity(n))
+    return str(path)
+
 
 class TestRegisterCommand:
     def test_identical_shapes_exit_zero(self, instance, tmp_path):
@@ -223,6 +235,18 @@ class TestEvaluateCommand:
             reports.append((out / "error_report.json").read_text())
         assert reports[0] == reports[1]
 
+    def test_short_transform_file_exit_one(self, instance, tmp_path, capsys):
+        # one transform is not broadcast over every template vertex
+        n = load_shape(instance / "template.ply").n_vertices
+        out = tmp_path / "ev"
+        code = run("evaluate", "--template", str(instance / "template.ply"),
+                   "--ground-truth", str(instance / "target.ply"),
+                   "--transforms", write_identity_transforms(tmp_path / "one.txt", 1),
+                   "--out", str(out))
+        assert code == 1
+        assert f"one.txt: 1 transforms for {n} template vertices" in capsys.readouterr().err
+        assert not (out / "error_report.json").exists()
+
 
 class TestFitResidualsCommand:
     def test_snr_residuals_prefer_laplace(self, instance, tmp_path):
@@ -243,6 +267,18 @@ class TestFitResidualsCommand:
         fit = json.loads((out / "residual_fit.json").read_text())
         for mode in ("per_axis_l1", "euclidean"):
             assert {"laplace", "gauss"} <= set(fit[mode])
+
+    def test_short_transform_file_exit_one(self, instance, tmp_path, capsys):
+        n = load_shape(instance / "template.ply").n_vertices
+        out = tmp_path / "fit"
+        code = run("fit-residuals", "--template", str(instance / "template.ply"),
+                   "--target", str(instance / "target.ply"),
+                   "--corr", str(instance / "landmarks.txt"),
+                   "--transforms", write_identity_transforms(tmp_path / "one.txt", 1),
+                   "--out", str(out))
+        assert code == 1
+        assert f"one.txt: 1 transforms for {n} template vertices" in capsys.readouterr().err
+        assert not (out / "residual_fit.json").exists()
 
 
 class TestCompareCommand:

@@ -80,6 +80,14 @@ class TestLoadShape:
         with pytest.raises(MeshParseError, match="bad.obj:2"):
             load_shape(path)
 
+    def test_obj_polygon_face_rejected(self, tmp_path):
+        # a quad is not cut to its first triangle, which would orphan vertex 4
+        path = tmp_path / "quad.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
+        with pytest.raises(MeshParseError,
+                           match="quad.obj:5: only triangle faces supported"):
+            load_shape(path)
+
     def test_truncated_ply_reports_error(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text(

@@ -617,6 +617,11 @@ class TestSystemInvariants:
         v = assemble_V(verts)
         np.testing.assert_allclose(x.apply(verts), v @ x.stacked, atol=1e-12)
 
+    def test_apply_rejects_vertex_count_mismatch(self):
+        # one block is not broadcast over every vertex
+        with pytest.raises(ValueError, match="7 vertices for 1 transforms"):
+            TransformStack.identity(1).apply(random_cloud(7, seed=11))
+
     @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
     def test_cached_transposes_bit_equal(self, bend_instance, variant):
         # the structure's CSR V^T and B^T give the right-hand sides bit for
@@ -686,6 +691,8 @@ class TestFixedPatternSystemMatrix:
         a = system_matrix(mu1, mu2, beta, sys_)
         ref = sparse_product_system_matrix(mu1, mu2, beta, sys_)
         assert a.format == "csc" and a.has_canonical_format
+        # the singular report reads empty columns: no explicit zeros
+        assert np.all(a.data != 0)
         np.testing.assert_array_equal(a.indptr, ref.indptr)
         np.testing.assert_array_equal(a.indices, ref.indices)
         np.testing.assert_array_equal(a.data, ref.data)
@@ -724,15 +731,6 @@ class TestFixedPatternSystemMatrix:
             assert not np.array_equal(a.data, first.data)
         assert changed.structure is sys_.structure
 
-    def test_pattern_shared_and_read_only(self):
-        sys_ = small_system(n=10, seed=14)
-        a = system_matrix(1.0, 2.0, 0.3, sys_)
-        b = system_matrix(4.0, 8.0, 0.3, sys_)
-        for m in (a, b):
-            assert np.shares_memory(m.indices, sys_.structure.indices)
-        with pytest.raises(ValueError):
-            a.indices[0] = 1
-
     @pytest.mark.parametrize("term", [0, 1])
     def test_tampered_term_fails_symmetry_check(self, monkeypatch, term):
         import nrreg.operators
@@ -755,7 +753,7 @@ class TestFixedPatternSystemMatrix:
         edges = np.array([[0, 1], [1, 0], [0, 1], [2, 3], [4, 4]])
         st_ = SystemStructure(verts, edges)
         assert st_.n_blocks == 5 + 4
-        assert st_.indptr[-1] == 16 * st_.n_blocks
+        assert len(st_.block_T) == st_.n_blocks
         np.testing.assert_array_equal(st_.edge_rows, [0, 1, 2, 3])
 
 
