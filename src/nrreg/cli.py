@@ -19,7 +19,12 @@ import numpy as np
 
 from .correspondence import load_correspondences, save_correspondences
 from .geometry import load_shape, save_shape
-from .metrics import fit_residual_distributions, fitting_error, residuals_for_analysis
+from .metrics import (
+    check_ground_truth,
+    fit_residual_distributions,
+    fitting_error,
+    residuals_for_analysis,
+)
 from .operators import TransformStack, assemble_system
 from .solver import VARIANTS, SolverConfig, register
 from .synthesis import (
@@ -205,6 +210,8 @@ def cmd_register(args, timings):
         corr = (load_correspondences(args.corr, template.n_vertices,
                                      target.n_vertices) if args.corr else None)
         cfg = load_config(args.config, _config_overrides(args))
+        gt = (check_ground_truth(template, load_shape(args.ground_truth).vertices)
+              if args.ground_truth else None)
 
     with _timed(timings, "solve"):
         try:
@@ -220,10 +227,9 @@ def cmd_register(args, timings):
         log_path = os.path.join(args.out, "iterations.json")
         _write_json(log_path, {"converged": result.converged, "outer": result.log})
         outputs = [deformed_path, transforms_path, log_path]
-        if args.ground_truth:
-            gt = load_shape(args.ground_truth)
+        if gt is not None:
             outputs += _write_error_report(
-                args.out, fitting_error(result.transforms, template, gt.vertices))
+                args.out, fitting_error(result.transforms, template, gt))
     log.info("register: converged=%s after %d outer iterations",
              result.converged, len(result.log))
     return (0 if result.converged else 2), cfg, outputs
@@ -247,10 +253,10 @@ def cmd_perturb(args, timings):
 def cmd_evaluate(args, timings):
     with _timed(timings, "load"):
         template = load_shape(args.template)
-        gt = load_shape(args.ground_truth)
+        gt = check_ground_truth(template, load_shape(args.ground_truth).vertices)
         stack = load_transforms(args.transforms, template.n_vertices)
     with _timed(timings, "solve"):
-        report = fitting_error(stack, template, gt.vertices)
+        report = fitting_error(stack, template, gt)
     with _timed(timings, "write"):
         outputs = _write_error_report(args.out, report)
     return 0, None, outputs
@@ -286,7 +292,7 @@ def cmd_compare(args, timings):
     with _timed(timings, "load"):
         template = load_shape(args.template)
         target = load_shape(args.target)
-        gt = load_shape(args.ground_truth)
+        gt = check_ground_truth(template, load_shape(args.ground_truth).vertices)
         corr = (load_correspondences(args.corr, template.n_vertices,
                                      target.n_vertices) if args.corr else None)
         base_cfg = load_config(args.config, _config_overrides(args))
@@ -309,7 +315,7 @@ def cmd_compare(args, timings):
                         result = register(template, corrupted, corr, cfg)
                     except (RuntimeError, ValueError) as exc:
                         raise CliError(f"{variant}, alpha={alpha}: {exc}")
-                    err = fitting_error(result.transforms, template, gt.vertices)
+                    err = fitting_error(result.transforms, template, gt)
                     entry = (err.summary()["mean_distance"], alpha)
                     if best is None or entry < best:
                         best = entry

@@ -59,13 +59,20 @@ def _fd_histogram(values):
     return edges, counts
 
 
-def fitting_error(X, template, ground_truth):
-    """Per-vertex squared distance between transformed template vertices and
-    their ground-truth positions, with summary stats and a color-coded mesh."""
+def check_ground_truth(template, ground_truth):
+    """``ground_truth`` as a float array; ValueError unless it holds one
+    position per template vertex."""
     gt = np.asarray(ground_truth, dtype=np.float64)
     if gt.shape != (template.n_vertices, 3):
         raise ValueError(f"ground truth must be ({template.n_vertices}, 3), "
                          f"got {gt.shape}")
+    return gt
+
+
+def fitting_error(X, template, ground_truth):
+    """Per-vertex squared distance between transformed template vertices and
+    their ground-truth positions, with summary stats and a color-coded mesh."""
+    gt = check_ground_truth(template, ground_truth)
     moved = X.apply(template.vertices)
     per_vertex = np.sum((moved - gt) ** 2, axis=1)
     edges, counts = _fd_histogram(per_vertex)

@@ -76,19 +76,6 @@ class TransformStack:
         return TransformStack(self.blocks.copy())
 
 
-# component c = 4a + b of a 4x4 block is its entry (a, b); _TRANSPOSED[c] is
-# the component of entry (b, a). In node-relative unknowns (a, p), _LINEAR
-# are the linear part's 3x3 block in row-major order, _LOWER the positions in
-# it of its lower triangle (entries 00, 10, 11, 20, 21, 22), _COUPLE the
-# entries (p, a) and _PP the entry (p, p)
-_TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(-1)
-_LINEAR = [0, 1, 2, 4, 5, 6, 8, 9, 10]
-_LOWER = [0, 3, 4, 6, 7, 8]
-_COUPLE = slice(12, 15)
-_PP = 15
-_E_P = np.eye(4)[:, 3:]      # (4, 1): the p slot of a node-relative block
-
-
 def _read_only(*arrays):
     for arr in arrays:
         arr.setflags(write=False)
@@ -97,37 +84,33 @@ def _read_only(*arrays):
 
 class SystemStructure:
     """What the template alone fixes, built once per registration: V, B, the
-    4x4-block pattern of mu1 K_D + mu2 K_S + beta S (one diagonal block per
-    vertex, the (i, j) and (j, i) blocks of every edge), and the pattern and
-    band order of the N x N system the factorization condenses it to.
+    rows ``edge_rows`` of B with i != j (a self-loop's row of B is zero),
+    and the pattern and band order of the N x N system the factorization
+    condenses mu1 K_D + mu2 K_S + beta S to.
 
-    Block values are (16, n_blocks) arrays, component 4a + b holding entry
-    (a, b), vertex diagonals first; block ``block_T[k]`` is block k's
-    transpose. ``edge_blocks`` lists the (i, i), (j, j), (i, j), (j, i)
-    blocks of each edge (i, j) in ``edge_rows``, the rows of B with i != j
-    (a self-loop's row of B is zero).
-
-    In node-relative unknowns (see ``factorize_system``) block (r, j) couples
-    p_r with vertex j's linear part only if r = j or (r, j) is an edge:
-    ``couple_blocks``, grouped by column, with columns ``couple_col``;
-    ``couple_indptr`` and ``couple_rows`` are the pattern of the (N, 3N) CSC
-    matrix whose column dN + j holds component d of the blocks of column j
-    in their rows. Eliminating the linear parts couples every
-    two rows of one column: pair k couples ``pair_first[k]`` with
-    ``pair_second[k]`` (indices into ``couple_blocks``), and
-    ``pair_indptr``, ``pair_rows`` are the pattern of the CSC matrix whose
-    column dN + j holds the pairs of column j, each in the row of the band
-    slot its vertex pair lo <= hi takes. Block ``pp_blocks[k]`` (the blocks
-    with row <= column, vertex diagonals first) adds to condensed entry
-    ``pp_slot[k]``, band slot ``pp_band[k]``. ``order`` is the reverse
-    Cuthill-McKee order of the condensed pattern (George & Liu 1981),
-    position k holding vertex order[k]; in that order every condensed entry
-    lies within ``bandwidth`` of the diagonal, and condensed entry k goes to
-    the read-only flat index ``band_index[k]`` of the Fortran-order
-    (bandwidth + 1, N) lower band LAPACK's banded Cholesky reads. The
-    singular test scales the linear parts' pivots by ``pivot_scale`` =
-    s^-2, s the power of two nearest the RMS edge-vector length (1 without
-    edges).
+    In node-relative unknowns (see ``factorize_system``) K_S couples p_r
+    with vertex j's linear part only if r = j or (r, j) is an edge: the
+    couple entries, keyed jN + r, so grouped by column, with columns
+    ``couple_col``. Edge k of ``edge_rows``, (i, j), adds to couple entries
+    ``edge_couple[:, k]``, its (j, j) and (i, j). ``couple_indptr`` and
+    ``couple_rows`` are the pattern of the (N, 3N) CSC matrix whose column
+    dN + j holds component d of the couple entries of column j in their
+    rows. Eliminating the linear parts couples every two rows of one
+    column: pair k couples couple entry ``pair_first[k]`` with
+    ``pair_second[k]``, and ``pair_indptr``, ``pair_rows`` are the pattern
+    of the CSC matrix whose column dN + j holds the pairs of column j, each
+    in the row of the band slot its vertex pair lo <= hi takes. K_S's
+    (p, p) entries are the N vertex diagonals, then the distinct edge pairs
+    (lo, hi); edge k adds to ``edge_pp[:, k]``, its (i, i), (j, j) and
+    (lo, hi), and entry m goes to band slot ``pp_band[m]``. ``order`` is
+    the reverse Cuthill-McKee order of the condensed pattern (George & Liu
+    1981), position k holding vertex order[k]; in that order every
+    condensed entry lies within ``bandwidth`` of the diagonal, and
+    condensed entry k goes to the read-only flat index ``band_index[k]`` of
+    the Fortran-order (bandwidth + 1, N) lower band LAPACK's banded
+    Cholesky reads. The singular test scales the linear parts' pivots by
+    ``pivot_scale`` = s^-2, s the power of two nearest the RMS edge-vector
+    length (1 without edges).
     """
 
     def __init__(self, vertices, edges):
@@ -137,30 +120,18 @@ class SystemStructure:
         self.V = assemble_V(vertices)
         self.B = assemble_B(vertices, self.edges)
         self.edge_rows = np.flatnonzero(self.edges[:, 0] != self.edges[:, 1])
-        e = self.edges[self.edge_rows]
-        m = len(e)
-        keys, inv = np.unique(np.concatenate([e[:, 0] * n + e[:, 1],
-                                              e[:, 1] * n + e[:, 0]]),
-                              return_inverse=True)
-        self.edge_blocks = np.column_stack(
-            [e[:, 0], e[:, 1], n + inv[:m], n + inv[m:]]).astype(np.int32).reshape(-1)
-        block_row = np.concatenate([np.arange(n), keys // n])
-        block_col = np.concatenate([np.arange(n), keys % n])
-        self.n_blocks = len(block_row)
-        self.block_T = np.concatenate(
-            [np.arange(n), n + np.searchsorted(keys, block_col[n:] * n + block_row[n:])])
-        d2 = np.square(self.vh[e[:, 0], :3] - self.vh[e[:, 1], :3]).sum(axis=1)
-        ms = d2.mean() if m else 0.0
+        i, j = self.edges[self.edge_rows].T
+        d2 = np.square(self.vh[i, :3] - self.vh[j, :3]).sum(axis=1)
+        ms = d2.mean() if len(i) else 0.0
         # s within 2^-100 .. 2^100, so that no scaled pivot overflows
         log_s = np.clip(np.round(np.log2(ms) / 2), -100, 100) if ms > 0 else 0
         self.pivot_scale = 2.0 ** (-2 * log_s)
 
-        # the condensed system: the blocks (r, j) coupling p_r with a_j,
-        # grouped by column j, and the pairs of them that share a column
-        blocks = np.concatenate([np.arange(n), n + np.unique(inv[:m])])
-        by_col = np.lexsort((block_row[blocks], block_col[blocks]))
-        blocks = blocks[by_col]
-        row, col = block_row[blocks], block_col[blocks]
+        # the condensed system: the couple entries (r, j) grouped by column
+        # j, and the pairs of them that share a column
+        diag = np.arange(n) * (n + 1)
+        keys, inv = np.unique(np.concatenate([diag, j * n + i]), return_inverse=True)
+        col, row = np.divmod(keys, n)
         # pairs k <= k' within each column group: k' runs to the group's end
         reps = np.cumsum(np.bincount(col, minlength=n))[col] - np.arange(len(col))
         first = np.repeat(np.arange(len(col)), reps)
@@ -168,11 +139,13 @@ class SystemStructure:
         lo = np.minimum(row[first], row[second])
         hi = np.maximum(row[first], row[second])
         pair_keys, pair_slot = np.unique(lo * n + hi, return_inverse=True)
-        self.pp_blocks = np.flatnonzero(block_row <= block_col)
-        self.pp_slot = np.searchsorted(
-            pair_keys, block_row[self.pp_blocks] * n + block_col[self.pp_blocks])
-        self.couple_blocks, self.couple_col, self.pair_first, self.pair_second = (
-            a.astype(np.int32) for a in (blocks, col, first, second))
+        off_keys, off_slot = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                                       return_inverse=True)
+        # inv[j] is the slot of the diagonal (j, j), inv[n:] those of the (i, j)
+        self.edge_couple, self.edge_pp, self.couple_col, self.pair_first, \
+            self.pair_second = (a.astype(np.int32) for a in (
+                np.stack([inv[j], inv[n:]]), np.stack([i, j, n + off_slot]),
+                col, first, second))
 
         lo, hi = np.divmod(pair_keys, n)
         # the upper triangle of the pattern: the order is that of its A + A^T
@@ -186,9 +159,10 @@ class SystemStructure:
             (below + (self.bandwidth + 1) * np.minimum(r, c)).astype(np.int32))
         # columns dN + j, d = 0, 1, 2, repeat the rows of column group j
         per_col = np.bincount(col, minlength=n)
+        pp_slot = np.searchsorted(pair_keys, np.concatenate([diag, off_keys]))
         self.pp_band, self.couple_indptr, self.couple_rows, self.pair_indptr, \
             self.pair_rows = _read_only(*(a.astype(np.int32, copy=False) for a in (
-                self.band_index[self.pp_slot],
+                self.band_index[pp_slot],
                 np.cumsum(np.r_[0, np.tile(per_col, 3)]),
                 np.tile(row.astype(np.int32), 3),
                 np.cumsum(np.r_[0, np.tile(per_col * (per_col + 1) // 2, 3)]),
@@ -196,14 +170,10 @@ class SystemStructure:
 
     @cached_property
     def unit_penalty_basis(self):
-        """The ``PenaltyBasis`` of K_S at unit weights: the smoothness term
-        the binary acquisition phase and the l2 baseline use at every outer
-        iteration, built and checked once per structure."""
-        ks = normal_blocks(self, None, np.ones(len(self.edges)))[1]
-        _assert_symmetric(ks, self.block_T)
-        terms = _basis_terms(self, ks)
-        del ks          # all 16 components of every block: free it first
-        return PenaltyBasis(self, *terms)
+        """The ``PenaltyBasis`` at unit smoothness weights: the smoothness
+        term the binary acquisition phase and the l2 baseline use at every
+        outer iteration, built once per structure."""
+        return PenaltyBasis(self, np.ones(len(self.edges)))
 
     @cached_property
     def VT(self):
@@ -222,40 +192,49 @@ def _read_only_csr(a):
     return a
 
 
-def _basis_terms(structure, ks):
-    """What a ``PenaltyBasis`` reads of K_S: the linear parts of its vertex
-    diagonal blocks (9, N), its couple blocks' (p, a) entries (3, n_couple)
-    and its values at ``pp_blocks``."""
-    return (ks[_LINEAR, :structure.n], ks[_COUPLE].take(structure.couple_blocks, axis=1),
-            ks[_PP, structure.pp_blocks])
-
-
 class PenaltyBasis:
-    """What one K_S fixes of every factorization at any mu1, mu2 and beta.
+    """What the smoothness weights ``w_smooth`` (E,) fix of every
+    factorization at any mu1, mu2 and beta, built straight from the edges;
+    K_S = (W_S B T)^T (W_S B T), T the change to node-relative unknowns
+    (see ``factorize_system``), is never formed. The row of edge (i, j) of
+    B T is e_p in block i and -(d, 1) in block j, d = v_i - v_j, so with
+    weight w it adds (w d)(w d)^T to vertex j's linear-part block G_j,
+    w (w d) to couple entry (j, j) and -w (w d) to (i, j), w^2 to the
+    (p, p) entries (i, i) and (j, j) and -w^2 to (lo, hi). Each entry is
+    one ``np.bincount`` over the edges in edge order.
 
-    Vertex j's linear-part block is M_j = beta I + mu2 G_j, G_j the linear
-    part of K_S's diagonal block, so the eigendecomposition G_j = Q_j
-    Lambda_j Q_j^T (``lam`` (3, N)) makes every M_j^-1 = Q_j F_j Q_j^T with
-    F_j = diag(1 / (beta + mu2 lambda)) (the varying-penalty caching of
-    Boyd et al. 2011, section 4.2). ``lift`` (N, 4, 3) holds
-    [Q_j; -v_j^T Q_j], the way from the eigenbasis back to X coordinates;
-    its transpose Q_j^T [I | -v_j] is the way there. ``H`` is the (N, 3N)
-    coupling Q_j^T g of every couple block g of K_S, column dN + j (``HT``
-    its transpose, on the same arrays). ``P`` maps the (3N,) diagonal of F
-    to the Schur complement's band: column dN + j holds h_d h'_d for each
-    pair (h, h') of couple blocks in column j. ``lower`` (6, N) are the
-    lower triangles of the G_j, ``ks_pp`` K_S's values at ``pp_band``. The
-    arguments are ``_basis_terms`` of K_S.
+    Vertex j's linear-part block is M_j = beta I + mu2 G_j, so the
+    eigendecomposition G_j = Q_j Lambda_j Q_j^T (``lam`` (3, N)) makes
+    every M_j^-1 = Q_j F_j Q_j^T with F_j = diag(1 / (beta + mu2 lambda))
+    (the varying-penalty caching of Boyd et al. 2011, section 4.2).
+    ``lift`` (N, 4, 3) holds [Q_j; -v_j^T Q_j], the way from the eigenbasis
+    back to X coordinates; its transpose Q_j^T [I | -v_j] is the way there.
+    ``H`` is the (N, 3N) coupling Q_j^T g of every couple entry g of K_S,
+    column dN + j (``HT`` its transpose, on the same arrays). ``P`` maps
+    the (3N,) diagonal of F to the Schur complement's band: column dN + j
+    holds h_d h'_d for each pair (h, h') of couple entries in column j.
+    ``lower`` (6, N) are the lower triangles of the G_j (entries 00, 10,
+    11, 20, 21, 22), ``ks_pp`` K_S's (p, p) entries at ``pp_band``.
     """
 
-    def __init__(self, structure, linear, g, ks_pp):
+    def __init__(self, structure, w_smooth):
         st = structure
         n = st.n
-        self.lower = linear[_LOWER]
-        lam, q = np.linalg.eigh(linear.T.reshape(n, 3, 3))
+        i, j = st.edges[st.edge_rows].T
+        w = w_smooth[st.edge_rows]
+        wd = w[:, None] * (st.vh[i, :3] - st.vh[j, :3])            # (E, 3)
+        self.lower = np.stack([np.bincount(j, wd[:, a] * wd[:, b], minlength=n)
+                               for a, b in ((0, 0), (1, 0), (1, 1),
+                                            (2, 0), (2, 1), (2, 2))])
+        full = self.lower[[0, 1, 3, 1, 2, 4, 3, 4, 5]].T.reshape(n, 3, 3)
+        lam, q = np.linalg.eigh(full)
         self.lam = lam.T
         self.lift = np.concatenate(
             [q, -np.einsum("ncd,nc->nd", q, st.vh[:, :3])[:, None]], axis=1)
+        # all (j, j) entries, then all (i, j), i != j: each sums in edge order
+        wwd = w[:, None] * wd
+        g = [np.bincount(st.edge_couple.reshape(-1), np.r_[wwd[:, c], -wwd[:, c]],
+                         minlength=len(st.couple_col)) for c in range(3)]
         # h_d = sum_c Q_cd g_c, one component c of the column's Q_j at a time
         qt = q.transpose(1, 2, 0)                              # (c, d, N)
         h = qt[0].take(st.couple_col, axis=1)
@@ -271,50 +250,11 @@ class PenaltyBasis:
             pairs[d] *= h[d].take(st.pair_second)
         self.P = sp.csc_matrix((pairs.reshape(-1), st.pair_rows, st.pair_indptr),
                                shape=((st.bandwidth + 1) * n, 3 * n))
-        self.ks_pp = ks_pp
-
-
-def normal_blocks(structure, w_data, w_smooth):
-    """K_D = (W_D V T)^T (W_D V T) and K_S = (W_S B T)^T (W_S B T) per block
-    component, for T the per-vertex change to node-relative unknowns (see
-    ``factorize_system``): (16, N) for K_D, whose only blocks are the vertex
-    diagonals, and (16, n_blocks) for K_S; a term whose weights are None is
-    None.
-
-    Row i of V T is e_p in block i; the row of edge (i, j) of B T is e_p in
-    block i and -(v_i - v_j, 1) in block j. Each entry is a sum of products
-    of weighted entries over edges in edge order (``np.bincount`` adds in
-    input order).
-    """
-    st = structure
-    kd = ks = None
-    if w_data is not None:
-        wv = w_data * _E_P                                  # (4, N)
-        kd = (wv[:, None] * wv[None, :]).reshape(16, st.n)
-    if w_smooth is not None:
-        i, j = st.edges[st.edge_rows].T
-        w = w_smooth[st.edge_rows]
-        d = st.vh[i] - st.vh[j]
-        d[:, 3] = 1.0
-        ri, rj = w * _E_P, -(w * d.T)                       # (4, E)
-        ks = np.empty((16, st.n_blocks))
-        for c in range(16):
-            a, b = divmod(c, 4)
-            p = np.column_stack([ri[a] * ri[b], rj[a] * rj[b],
-                                 ri[a] * rj[b], rj[a] * ri[b]])
-            ks[c] = np.bincount(st.edge_blocks, p.reshape(-1),
-                                minlength=st.n_blocks)
-    return kd, ks
-
-
-def _assert_symmetric(values, block_T):
-    """``values`` (16, K) per block component; block_T[k] holds the
-    transpose of block k."""
-    asym = max(np.abs(values[c] - values[_TRANSPOSED[c], block_T]).max(initial=0.0)
-               for c in range(16))
-    scale = max(values.max(initial=0.0), -values.min(initial=0.0), 1.0)
-    if asym > 1e-12 * scale:
-        raise AssertionError(f"system matrix not symmetric (max asymmetry {asym})")
+        # interleaved per edge, so each vertex's diagonal sums in edge order
+        ww = w * w
+        self.ks_pp = np.bincount(st.edge_pp.T.reshape(-1),
+                                 np.stack([ww, ww, -ww], axis=1).reshape(-1),
+                                 minlength=len(st.pp_band))
 
 
 @dataclass
@@ -351,21 +291,13 @@ class SystemMatrices:
         return self.B.shape[0]
 
     @cached_property
-    def normal_terms(self):
-        """(K_D, basis): K_D in node-relative unknowns for these weights and
-        the ``PenaltyBasis`` of K_S, both built and checked for symmetry once
-        per instance (see ``normal_blocks``); the basis is the structure's
-        when every smoothness weight is 1. K_S itself is not kept.
-        ``replace`` makes a new instance, so new weights never meet old
-        values."""
-        st = self.structure
-        unit = not np.any(self.w_smooth != 1.0)
-        kd, ks = normal_blocks(st, self.w_data, None if unit else self.w_smooth)
-        _assert_symmetric(kd, st.block_T[:self.n])
-        if unit:
-            return kd, st.unit_penalty_basis
-        _assert_symmetric(ks, st.block_T)
-        return kd, PenaltyBasis(st, *_basis_terms(st, ks))
+    def penalty_basis(self):
+        """The ``PenaltyBasis`` of these smoothness weights, built once per
+        instance; the structure's when every weight is 1. ``replace`` makes
+        a new instance, so new weights never meet an old basis."""
+        if np.any(self.w_smooth != 1.0):
+            return PenaltyBasis(self.structure, self.w_smooth)
+        return self.structure.unit_penalty_basis
 
     def data_residual(self, X):
         """W_D (V X - U_f) as an (N, 3) dense matrix."""
@@ -579,19 +511,17 @@ def system_matrix(mu1, mu2, beta, sys):
     return a
 
 
-def _cholesky3(m):
-    """Cholesky factors (rows l00, l10, l11, l20, l21, l22) and LDL^T pivots
-    (3, N) of N symmetric 3x3 matrices given by their lower triangles (6, N);
-    a pivot that is not positive leaves non-finite factors."""
+def _ldl_pivots3(m):
+    """LDL^T pivots (3, N) of N symmetric 3x3 matrices given by their lower
+    triangles (6, N), by way of their Cholesky factors; after a pivot that
+    is not positive the later ones mean nothing."""
     m00, m10, m11, m20, m21, m22 = m
     with np.errstate(divide="ignore", invalid="ignore"):
         l00 = np.sqrt(m00)
         l10, l20 = m10 / l00, m20 / l00
         d1 = m11 - l10 * l10
-        l11 = np.sqrt(d1)
-        l21 = (m21 - l20 * l10) / l11
-        d2 = m22 - l20 * l20 - l21 * l21
-        return np.stack([l00, l10, l11, l20, l21, np.sqrt(d2)]), np.stack([m00, d1, d2])
+        l21 = (m21 - l20 * l10) / np.sqrt(d1)
+        return np.stack([m00, d1, m22 - l20 * l20 - l21 * l21])
 
 
 class Factorization:
@@ -653,13 +583,13 @@ def factorize_system(mu1, mu2, beta, sys):
     only a, so the linear parts' block is block diagonal: M_j = beta I +
     mu2 G_j, G_j = sum_(i, j) w^2 d d^T, d = v_i - v_j. In the system's
     ``PenaltyBasis`` each M_j^-1 is the diagonal F_j, so the Schur
-    complement in p is mu2 K_S,pp + mu1 K_D,pp - mu2^2 P f, one sparse
+    complement in p is mu2 K_S,pp + mu1 W_D^2 - mu2^2 P f, one sparse
     product straight into the band of the registration's fixed reverse
     Cuthill-McKee order (no ordering per call), which LAPACK's banded
-    Cholesky factorizes. K_D, K_S, their symmetry check and the basis are
-    once per system. The singular test reads the pivots L_ii^2 and the
-    3x3 blocks' LDL^T pivots scaled by s^-2, which makes them commensurate;
-    s is a power of two, so no solution bit depends on it.
+    Cholesky factorizes. The basis is built once per system. The singular
+    test reads the pivots L_ii^2 and the 3x3 blocks' LDL^T pivots scaled by
+    s^-2, which makes them commensurate; s is a power of two, so no
+    solution bit depends on it.
     """
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("mu1 and mu2 must be positive")
@@ -667,11 +597,11 @@ def factorize_system(mu1, mu2, beta, sys):
         raise ValueError("beta must be nonnegative")
     st = sys.structure
     n = st.n
-    kd, basis = sys.normal_terms
+    basis = sys.penalty_basis
     m = mu2 * basis.lower
     if beta != 0.0:
         m[[0, 2, 5]] += beta
-    piv = _cholesky3(m)[1]
+    piv = _ldl_pivots3(m)
     if not np.all(piv > 0):
         raise _singular(mu1, mu2, beta, sys)
     # rounding can leave an eigenvalue of a nearly rank-deficient G_j
@@ -684,7 +614,7 @@ def factorize_system(mu1, mu2, beta, sys):
     band *= -mu2 * mu2
     band[st.pp_band] += mu2 * basis.ks_pp
     band = band.reshape(st.bandwidth + 1, n, order="F")
-    band[0] += mu1 * kd[_PP, st.order]
+    band[0] += mu1 * np.square(sys.w_data[st.order])
     band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise _singular(mu1, mu2, beta, sys)

@@ -149,6 +149,27 @@ class TestRegisterCommand:
         assert code == 1
         assert "alphas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["register", "compare"])
+    def test_ground_truth_size_checked_before_solve(self, command, instance,
+                                                    tmp_path, capsys, monkeypatch):
+        # a ground truth of the wrong size fails at load time: no solve and
+        # none of the outputs (deformed.ply, transforms.txt, iterations.json,
+        # the reports, the manifest)
+        import nrreg.cli
+        monkeypatch.setattr(nrreg.cli, "register",
+                            lambda *args: pytest.fail("registration ran"))
+        save_shape(Shape(vertices=np.eye(3)), tmp_path / "small.ply")
+        out = tmp_path / "o"
+        extra = ["--variants", "l2"] if command == "compare" else []
+        code = run(command, "--template", str(instance / "template.ply"),
+                   "--target", str(instance / "target.ply"),
+                   "--corr", str(instance / "landmarks.txt"),
+                   "--ground-truth", str(tmp_path / "small.ply"),
+                   *extra, "--out", str(out))
+        assert code == 1
+        assert "ground truth must be (96, 3), got (3, 3)" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestPerturbCommand:
     def test_noise_preserves_vertex_count(self, instance, tmp_path):

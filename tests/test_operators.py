@@ -731,30 +731,59 @@ class TestFixedPatternSystemMatrix:
             assert not np.array_equal(a.data, first.data)
         assert changed.structure is sys_.structure
 
-    @pytest.mark.parametrize("term", [0, 1])
-    def test_tampered_term_fails_symmetry_check(self, monkeypatch, term):
-        import nrreg.operators
-        original = nrreg.operators.normal_blocks
-
-        def tampered(*args):
-            terms = list(original(*args))
-            terms[term] = terms[term].copy()
-            terms[term][1, 0] += 1e-3      # entry (0, 1) of vertex 0's block
-            return tuple(terms)
-
-        monkeypatch.setattr(nrreg.operators, "normal_blocks", tampered)
-        with pytest.raises(AssertionError, match="system matrix not symmetric"):
-            factorize_system(1.0, 1.0, 0.1, small_system(n=6, seed=15))
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_systems())
+    def test_penalty_basis_matches_transformed_matrix(self, case):
+        # oracle: K_S = T^T (B^T W_S^2 B) T from sparse products, for the
+        # change x_i = T_i z_i to node-relative unknowns z_i = (a_i, p_i);
+        # the basis built from the edges holds its linear-part blocks, its
+        # couple entries (p_r, a_j) and its (p, p) entries, and nothing else
+        sys_ = case[0]
+        st_ = sys_.structure
+        n = st_.n
+        t = np.zeros((n, 4, 4))
+        t[:, :3, :3] = np.eye(3)
+        t[:, 3, :3] = -st_.vh[:, :3]
+        t[:, 3, 3] = 1.0
+        t = sp.block_diag(list(t)).toarray()
+        ks = t.T @ system_matrix(0.0, 1.0, 0.0, sys_).toarray() @ t
+        tol = 1e-12 * np.abs(ks).max()
+        blocks = ks.reshape(n, 4, n, 4)
+        diag = np.arange(n)
+        basis = sys_.penalty_basis
+        linear = blocks[diag, :3, diag, :3]
+        rows, cols = np.tril_indices(3)
+        assert np.abs(basis.lower - linear[:, rows, cols].T).max() <= tol
+        q = basis.lift[:, :3]
+        eig = q @ (basis.lam.T[:, :, None] * q.transpose(0, 2, 1))
+        assert np.abs(eig - linear).max() <= tol
+        # H holds Q_j^T g column dN + j; Q_j is orthogonal
+        h = basis.H.toarray().reshape(n, 3, n)
+        couple = np.einsum("jcd,rdj->rjc", q, h)
+        assert np.abs(couple - blocks[:, 3, :, :3]).max() <= tol
+        width = st_.bandwidth + 1
+        pos, below = np.divmod(st_.pp_band, width)
+        u, v = st_.order[pos], st_.order[pos + below]
+        pp = np.zeros((n, n))
+        pp[u, v] = pp[v, u] = basis.ks_pp
+        assert np.abs(pp - blocks[:, 3, :, 3]).max() <= tol
 
     def test_structure_blocks(self):
-        # one diagonal block per vertex, isolated ones included, and one
-        # block each way per distinct edge pair
+        # one couple entry and one (p, p) entry per vertex, isolated ones
+        # included, one couple entry (i, j) per distinct edge and one (p, p)
+        # entry per distinct vertex pair; self-loops add nothing
         verts = random_cloud(5, seed=16)
         edges = np.array([[0, 1], [1, 0], [0, 1], [2, 3], [4, 4]])
         st_ = SystemStructure(verts, edges)
-        assert st_.n_blocks == 5 + 4
-        assert len(st_.block_T) == st_.n_blocks
         np.testing.assert_array_equal(st_.edge_rows, [0, 1, 2, 3])
+        # couple entries keyed jN + r: (0, 0), (1, 0), (0, 1), (1, 1),
+        # (2, 2), (2, 3), (3, 3), (4, 4)
+        np.testing.assert_array_equal(st_.couple_col, [0, 0, 1, 1, 2, 3, 3, 4])
+        np.testing.assert_array_equal(st_.edge_couple, [[3, 0, 3, 6], [2, 1, 2, 5]])
+        # (p, p) entries: the five vertex diagonals, then (0, 1) and (2, 3)
+        np.testing.assert_array_equal(st_.edge_pp, [[0, 1, 0, 2], [1, 0, 1, 3],
+                                                    [5, 5, 5, 6]])
+        assert len(st_.pp_band) == 5 + 2
 
 
 class TestBlockOrdering:
@@ -792,8 +821,7 @@ class TestBlockOrdering:
         width = st_.bandwidth + 1
         assert len(np.unique(st_.band_index)) == len(st_.band_index)
         assert st_.band_index.max() < width * n
-        np.testing.assert_array_equal(st_.band_index[st_.pp_slot[:n]],
-                                      width * np.argsort(st_.order))
+        np.testing.assert_array_equal(st_.pp_band[:n], width * np.argsort(st_.order))
 
     @settings(max_examples=300, deadline=None)
     @given(weighted_systems())
@@ -865,7 +893,8 @@ class TestBlockOrdering:
         sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
                                CorrespondenceMap(np.arange(1, 13)), verts)
         st_ = sys_.structure
-        assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * st_.n_blocks
+        n_blocks = 2 * len(st_.pp_band) - 12    # 12 diagonals, 2 per vertex pair
+        assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * n_blocks
         index, rows = st_.band_index.copy(), st_.pair_rows.copy()
         factored = []
         monkeypatch.setattr(nrreg.operators, "dpbtrf", lambda ab, **kw:
@@ -957,7 +986,7 @@ class TestCondensedSolve:
         # block below -beta / mu2 where its Cholesky pivots stay positive:
         # the factorization names the system singular, never divides by it
         sys_ = weighted_mesh_system(12, 12)
-        basis = sys_.normal_terms[1]
+        basis = sys_.penalty_basis
         assert basis is not sys_.structure.unit_penalty_basis
         factorize_system(1.0, 1.0, 0.0, sys_)
         basis.lam[0, 5] = -1e-17
