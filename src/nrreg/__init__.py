@@ -32,7 +32,6 @@ from .operators import (
     assemble_V,
     assemble_system,
     block_shrink,
-    build_S_terms,
     factorize_system,
     procrustes_project,
     shrink,

@@ -23,6 +23,7 @@ from .metrics import (
     check_ground_truth,
     fit_residual_distributions,
     fitting_error,
+    mean_distance_error,
     residuals_for_analysis,
 )
 from .operators import TransformStack, assemble_system
@@ -288,6 +289,17 @@ def cmd_fit_residuals(args, timings):
     return 0, None, [fit_path]
 
 
+def _float_list(text, flag, nonnegative=False):
+    """The comma-separated reals of ``flag``; CliError unless each is finite
+    (and, with ``nonnegative``, at least 0)."""
+    values = [float(v) for v in text.split(",")]
+    bad = [v for v in values if not np.isfinite(v) or (nonnegative and v < 0)]
+    if bad:
+        kind = "finite and nonnegative" if nonnegative else "finite"
+        raise CliError(f"{flag} values must be {kind}, got {bad}")
+    return values
+
+
 def cmd_compare(args, timings):
     with _timed(timings, "load"):
         template = load_shape(args.template)
@@ -297,9 +309,9 @@ def cmd_compare(args, timings):
                                      target.n_vertices) if args.corr else None)
         base_cfg = load_config(args.config, _config_overrides(args))
         variants = args.variants.split(",")
-        sigmas = ([float(s) for s in args.sigmas.split(",")] if args.sigmas
-                  else [0.0])
-        alphas = ([float(a) for a in args.alphas.split(",")] if args.alphas
+        sigmas = (_float_list(args.sigmas, "--sigmas", nonnegative=True)
+                  if args.sigmas else [0.0])
+        alphas = (_float_list(args.alphas, "--alphas") if args.alphas
                   else [base_cfg.alpha])
 
     with _timed(timings, "solve"):
@@ -315,8 +327,8 @@ def cmd_compare(args, timings):
                         result = register(template, corrupted, corr, cfg)
                     except (RuntimeError, ValueError) as exc:
                         raise CliError(f"{variant}, alpha={alpha}: {exc}")
-                    err = fitting_error(result.transforms, template, gt)
-                    entry = (err.summary()["mean_distance"], alpha)
+                    entry = (mean_distance_error(result.transforms, template, gt),
+                             alpha)
                     if best is None or entry < best:
                         best = entry
                 rows.append({"variant": variant, "sigma": sigma,

@@ -213,8 +213,7 @@ class PenaltyBasis:
     column dN + j (``HT`` its transpose, on the same arrays). ``P`` maps
     the (3N,) diagonal of F to the Schur complement's band: column dN + j
     holds h_d h'_d for each pair (h, h') of couple entries in column j.
-    ``lower`` (6, N) are the lower triangles of the G_j (entries 00, 10,
-    11, 20, 21, 22), ``ks_pp`` K_S's (p, p) entries at ``pp_band``.
+    ``ks_pp`` holds K_S's (p, p) entries at ``pp_band``.
     """
 
     def __init__(self, structure, w_smooth):
@@ -223,10 +222,11 @@ class PenaltyBasis:
         i, j = st.edges[st.edge_rows].T
         w = w_smooth[st.edge_rows]
         wd = w[:, None] * (st.vh[i, :3] - st.vh[j, :3])            # (E, 3)
-        self.lower = np.stack([np.bincount(j, wd[:, a] * wd[:, b], minlength=n)
-                               for a, b in ((0, 0), (1, 0), (1, 1),
-                                            (2, 0), (2, 1), (2, 2))])
-        full = self.lower[[0, 1, 3, 1, 2, 4, 3, 4, 5]].T.reshape(n, 3, 3)
+        # the lower triangles of the G_j (entries 00, 10, 11, 20, 21, 22)
+        lower = np.stack([np.bincount(j, wd[:, a] * wd[:, b], minlength=n)
+                          for a, b in ((0, 0), (1, 0), (1, 1),
+                                       (2, 0), (2, 1), (2, 2))])
+        full = lower[[0, 1, 3, 1, 2, 4, 3, 4, 5]].T.reshape(n, 3, 3)
         lam, q = np.linalg.eigh(full)
         self.lam = lam.T
         self.lift = np.concatenate(
@@ -478,16 +478,6 @@ def project_rotations(X):
     return r
 
 
-def build_S_terms(n):
-    """Block-diagonal (4N, 4N) selector sum: per-vertex diag(1, 1, 1, 0).
-
-    Zeroes the translation row of each stacked 4x3 block, leaving the
-    transposed linear part that the rotation penalty acts on.
-    """
-    diag = np.tile([1.0, 1.0, 1.0, 0.0], n)
-    return sp.diags(diag, format="csr")
-
-
 def rotation_rhs(rotations):
     """Stacked (4N, 3) right-hand-side blocks [R_i^T; 0] for the rotation
     penalty term of the normal equations."""
@@ -496,32 +486,6 @@ def rotation_rhs(rotations):
     out = np.zeros((4 * n, 3))
     out.reshape(n, 4, 3)[:, :3, :] = r.transpose(0, 2, 1)
     return out
-
-
-def system_matrix(mu1, mu2, beta, sys):
-    """mu1 V^T W_D^2 V + mu2 B^T W_S^2 B + beta * sum_i S_i^T S_i from sparse
-    products, in canonical CSC form in vertex order; sparse arithmetic drops
-    the entries that come out exactly zero. The factorization never forms
-    it; a singular system's report does."""
-    wv = sp.diags(sys.w_data) @ sys.V
-    wb = sp.diags(sys.w_smooth) @ sys.B
-    a = mu1 * (wv.T @ wv) + mu2 * (wb.T @ wb) + beta * build_S_terms(sys.n)
-    a = a.tocsc()
-    a.sum_duplicates()
-    return a
-
-
-def _ldl_pivots3(m):
-    """LDL^T pivots (3, N) of N symmetric 3x3 matrices given by their lower
-    triangles (6, N), by way of their Cholesky factors; after a pivot that
-    is not positive the later ones mean nothing."""
-    m00, m10, m11, m20, m21, m22 = m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l00 = np.sqrt(m00)
-        l10, l20 = m10 / l00, m20 / l00
-        d1 = m11 - l10 * l10
-        l21 = (m21 - l20 * l10) / np.sqrt(d1)
-        return np.stack([m00, d1, m22 - l20 * l20 - l21 * l21])
 
 
 class Factorization:
@@ -545,8 +509,9 @@ class Factorization:
     @property
     def pivot_ratio(self):
         """Smallest over largest pivot the singular test reads: the LDL^T
-        pivots L_ii^2 of the condensed factor and those of the 3x3 blocks
-        times ``SystemStructure.pivot_scale``."""
+        pivots L_ii^2 of the condensed factor and the 3x3 blocks' pivots
+        beta + mu2 lambda, the values F divides by, times
+        ``SystemStructure.pivot_scale``."""
         return self._pivot_ratio
 
     def solve(self, rhs):
@@ -572,8 +537,9 @@ class Factorization:
 
 
 def factorize_system(mu1, mu2, beta, sys):
-    """Factorize the normal-equation matrix ``system_matrix(mu1, mu2, beta,
-    sys)``; raises SingularSystemError with the suspect vertex blocks when
+    """Factorize the normal-equation matrix mu1 V^T W_D^2 V + mu2 B^T W_S^2 B
+    + beta S, S the per-vertex selector diag(1, 1, 1, 0), which is never
+    formed; raises SingularSystemError with the suspect vertex blocks when
     the matrix is singular.
 
     The factorization works per right-hand-side column in node-relative
@@ -587,9 +553,9 @@ def factorize_system(mu1, mu2, beta, sys):
     product straight into the band of the registration's fixed reverse
     Cuthill-McKee order (no ordering per call), which LAPACK's banded
     Cholesky factorizes. The basis is built once per system. The singular
-    test reads the pivots L_ii^2 and the 3x3 blocks' LDL^T pivots scaled by
-    s^-2, which makes them commensurate; s is a power of two, so no
-    solution bit depends on it.
+    test reads the pivots L_ii^2 and the 3x3 blocks' pivots beta + mu2
+    lambda scaled by s^-2, which makes them commensurate; s is a power of
+    two, so no solution bit depends on it.
     """
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("mu1 and mu2 must be positive")
@@ -598,14 +564,8 @@ def factorize_system(mu1, mu2, beta, sys):
     st = sys.structure
     n = st.n
     basis = sys.penalty_basis
-    m = mu2 * basis.lower
-    if beta != 0.0:
-        m[[0, 2, 5]] += beta
-    piv = _ldl_pivots3(m)
-    if not np.all(piv > 0):
-        raise _singular(mu1, mu2, beta, sys)
-    # rounding can leave an eigenvalue of a nearly rank-deficient G_j
-    # below -beta / mu2 where the Cholesky pivots are still positive
+    # the linear parts' pivots; rounding can leave an eigenvalue of a nearly
+    # rank-deficient G_j at or below -beta / mu2
     diag = beta + mu2 * basis.lam
     if not np.all(diag > 0):
         raise _singular(mu1, mu2, beta, sys)
@@ -619,7 +579,7 @@ def factorize_system(mu1, mu2, beta, sys):
     if info != 0:
         raise _singular(mu1, mu2, beta, sys)
     # a factor of a nearly singular matrix can come out with tiny pivots; check
-    pivots = np.concatenate([np.square(band[0]), st.pivot_scale * piv.reshape(-1)])
+    pivots = np.concatenate([np.square(band[0]), st.pivot_scale * diag.reshape(-1)])
     if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
         raise _singular(mu1, mu2, beta, sys)
     return Factorization(band, st, basis, f, mu2, pivots.min() / pivots.max())
@@ -628,17 +588,33 @@ def factorize_system(mu1, mu2, beta, sys):
 def _singular(mu1, mu2, beta, sys):
     """SingularSystemError naming the suspect vertices: those of every
     component of the edge graph without a matched vertex, or, when every
-    component has one, those whose diagonal block of ``system_matrix`` is
-    rank deficient. The reason is worded as an LU factorization of the full
-    matrix words it: exactly singular when some unknown has no nonzero
-    entry, which every elimination order meets as an exactly zero pivot, and
-    a zero pivot otherwise. (Such an unknown always stops the condensed
-    factorization: a linear part's as a 3x3 pivot, a position's as a zero
+    component has one, those whose 4x4 diagonal block of the 4N x 4N matrix
+    is rank deficient. The blocks are summed straight from the edges, bit
+    for bit as the sparse products sum them: vertex i's block holds
+    mu1 (w_i vh_i)(w_i vh_i)^T, and an edge (i, j), i != j, whose row of B
+    is vh_i in block i and -vh_i in block j, adds mu2 (w vh_i)(w vh_i)^T to
+    both, in edge order; S adds beta to the linear parts' diagonal. The
+    reason is worded as an LU factorization of the full matrix words it:
+    exactly singular when some unknown has no nonzero entry (the matrix is
+    PSD, so none in its column when none in its block's), which every
+    elimination order meets as an exactly zero pivot, and a zero pivot
+    otherwise. (Such an unknown always stops the condensed factorization: a
+    linear part's as a pivot beta + mu2 lambda = 0, a position's as a zero
     row of the banded system.)"""
-    a = system_matrix(mu1, mu2, beta, sys)
-    exact = np.any(np.diff(a.indptr) == 0)
+    st = sys.structure
+    i, j = sys.edges[st.edge_rows].T
+    wv = sys.w_data[:, None] * st.vh
+    we = sys.w_smooth[st.edge_rows, None] * st.vh[i]
+    smooth = np.zeros((sys.n, 4, 4))
+    np.add.at(smooth, np.stack([i, j], axis=1).reshape(-1),
+              np.repeat(we[:, :, None] * we[:, None, :], 2, axis=0))
+    blocks = mu1 * (wv[:, :, None] * wv[:, None, :]) + mu2 * smooth
+    blocks[:, :3, :3] += beta * np.eye(3)
+    exact = np.any(np.all(blocks == 0, axis=1))
     reason = "Factor is exactly singular" if exact else "zero pivot"
-    bad = _unanchored_vertices(sys) or _suspect_blocks(a)
+    tol = 1e-10 * np.diagonal(blocks, axis1=1, axis2=2).max(initial=1.0)
+    bad = _unanchored_vertices(sys) or np.flatnonzero(
+        np.linalg.matrix_rank(blocks, tol=tol) < 4).tolist()
     return SingularSystemError(
         f"singular system: {reason}; suspect vertex blocks {bad}",
         vertex_blocks=bad)
@@ -655,18 +631,6 @@ def _unanchored_vertices(sys):
     anchored = np.zeros(n_comp, bool)
     anchored[label[sys.w_data != 0]] = True
     return np.flatnonzero(~anchored[label]).tolist()
-
-
-def _suspect_blocks(a, tol=1e-10):
-    """Indices of the diagonal 4x4 blocks of ``a`` that are rank deficient."""
-    n = a.shape[0] // 4
-    coo = a.tocoo()
-    keep = coo.row // 4 == coo.col // 4
-    blocks = np.zeros((n, 4, 4))
-    np.add.at(blocks, (coo.row[keep] // 4, coo.row[keep] % 4, coo.col[keep] % 4),
-              coo.data[keep])
-    ranks = np.linalg.matrix_rank(blocks, tol=tol * a.diagonal().max(initial=1.0))
-    return np.flatnonzero(ranks < 4).tolist()
 
 
 def solve_X(handle, rhs):

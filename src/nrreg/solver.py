@@ -3,7 +3,7 @@ the reweighted outer loop, and the comparison baselines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,6 +63,10 @@ class SolverConfig:
     knn_k: int = 6
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and np.isnan(value):
+                raise ValueError(f"{f.name} must not be NaN")
         if self.rho1 <= 1 or self.rho2 <= 1:
             raise ValueError("rho1 and rho2 must be > 1")
         if self.mu1_init <= 0 or self.mu2_init <= 0:
@@ -73,6 +77,15 @@ class SolverConfig:
             raise ValueError("iteration caps must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
+        for name in ("inner_tol", "outer_tol", "reweight_start_tol"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if self.max_dist_factor <= 0:
+            raise ValueError("max_dist_factor must be positive (inf: no gate)")
+        if self.max_normal_angle <= 0:
+            raise ValueError("max_normal_angle must be positive")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "l2" and self.alpha == 0:
@@ -153,8 +166,6 @@ def admm_solve(sys, X_init, cfg):
         if cfg.beta > 0:
             rhs = rhs + 2.0 * cfg.beta * rotation_rhs(R)
         X = solve_X(handle, rhs)
-        if not np.all(np.isfinite(X.blocks)):
-            raise RuntimeError(f"non-finite transform iterate at inner iteration {k}")
         G1 = sys.data_residual(X)
         G2 = sys.smooth_residual(X)
         Y1 = Y1 + mu1 * (C - G1)

@@ -11,10 +11,8 @@ from nrreg import (
     CorrespondenceMap,
     Shape,
     SolverConfig,
-    build_S_terms,
     synth_deformation,
 )
-from nrreg.operators import system_matrix
 from nrreg.synthesis import DeformationSpec, landmark_subset, make_strip
 
 
@@ -58,13 +56,15 @@ def brute_force_closest(queries, points):
 
 def sparse_product_system_matrix(mu1, mu2, beta, sys):
     """Reference transform-update matrix from scipy sparse products, in
-    canonical CSC form: mu1 (W_D V)^T (W_D V) + mu2 (W_S B)^T (W_S B) + beta S.
-    Sparse arithmetic drops entries that come out exactly zero."""
+    canonical CSC form: mu1 (W_D V)^T (W_D V) + mu2 (W_S B)^T (W_S B) + beta S,
+    S the per-vertex selector diag(1, 1, 1, 0) of the linear parts. Sparse
+    arithmetic drops entries that come out exactly zero. The program never
+    forms this matrix."""
     WV = sp.diags(sys.w_data) @ sys.V
     WB = sp.diags(sys.w_smooth) @ sys.B
     a = mu1 * (WV.T @ WV) + mu2 * (WB.T @ WB)
     if beta != 0.0:
-        a = a + beta * build_S_terms(sys.n)
+        a = a + beta * sp.diags(np.tile([1.0, 1.0, 1.0, 0.0], sys.n))
     a = a.tocsc()
     a.sum_duplicates()
     return a
@@ -90,18 +90,18 @@ def block_order_factorization(mu1, mu2, beta, sys):
     """Reference factorization of the 4N x 4N transform-update matrix, as
     ``factorize_system`` ran it before condensing to N x N: a minimum-degree
     order of the vertex-block graph, expanded to 4-wide blocks, orders
-    ``system_matrix``, and SuperLU factorizes P A P^T with the natural column
-    order and no pivoting. Returns (solve, pivot ratio): ``solve`` maps a
-    vertex-order right-hand side to the vertex-order solution, and the ratio
-    is min |U_ii| / max |U_ii|."""
+    ``sparse_product_system_matrix``, and SuperLU factorizes P A P^T with the
+    natural column order and no pivoting. Returns (solve, pivot ratio):
+    ``solve`` maps a vertex-order right-hand side to the vertex-order
+    solution, and the ratio is min |U_ii| / max |U_ii|."""
     st = sys.structure
     e = st.edges[st.edge_rows]
     pairs = np.unique(np.concatenate([e, e[:, ::-1]]), axis=0)
     order = min_degree_order(st.n, pairs[:, 0], pairs[:, 1])
     scalar = (4 * order[:, None] + np.arange(4)).reshape(-1)
-    lu = splu(system_matrix(mu1, mu2, beta, sys)[scalar][:, scalar].tocsc(),
-              permc_spec="NATURAL", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
+    a = sparse_product_system_matrix(mu1, mu2, beta, sys)
+    lu = splu(a[scalar][:, scalar].tocsc(), permc_spec="NATURAL",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def solve(rhs):
         x = np.empty_like(rhs)

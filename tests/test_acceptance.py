@@ -27,8 +27,10 @@ from nrreg import (
 from nrreg.cli import main as cli_main
 from nrreg.geometry import Shape, knn_edges
 from nrreg.metrics import mean_distance_error
-from nrreg.operators import system_matrix
 from nrreg.synthesis import landmark_subset
+
+# criterion 2's reference matrix: the 4N x 4N system from sparse products
+from conftest import sparse_product_system_matrix as system_matrix
 
 
 @pytest.fixture

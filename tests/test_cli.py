@@ -140,6 +140,28 @@ class TestRegisterCommand:
         err = capsys.readouterr().err
         assert "alpha" in err and "singular" not in err
 
+    @pytest.mark.parametrize("flags, config, field", [
+        (["--max-dist-factor", "nan"], {}, "max_dist_factor must not be NaN"),
+        (["--beta", "nan"], {}, "beta must not be NaN"),
+        (["--alpha", "nan"], {}, "alpha must not be NaN"),
+        ([], {"outer_tol": -1}, "outer_tol must be nonnegative"),
+        ([], {"knn_k": 0}, "knn_k must be >= 1"),
+    ])
+    def test_bad_solver_setting_exit_one_before_solve(
+            self, instance, tmp_path, capsys, monkeypatch, flags, config, field):
+        # a NaN or out-of-range setting fails at load time, before any
+        # solve, and the message names the field
+        import nrreg.cli
+        monkeypatch.setattr(nrreg.cli, "register",
+                            lambda *args: pytest.fail("registration ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = run("register", "--template", str(instance / "template.ply"),
+                   "--target", str(instance / "target.ply"),
+                   "--config", str(cfg_path), *flags, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert f"invalid configuration: {field}" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, instance, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alphas": 2.0}))
@@ -318,6 +340,28 @@ class TestCompareCommand:
         assert len(lines) == 1 + 6
         assert sum(ln.startswith("dual_sparse,") for ln in lines[1:]) == 3
         assert sum(ln.startswith("l2,") for ln in lines[1:]) == 3
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--sigmas", "-0.5,nan", "--sigmas values must be finite and nonnegative, "
+                                 "got [-0.5, nan]"),
+        ("--sigmas", "0.3,inf", "--sigmas values must be finite and nonnegative, "
+                                "got [inf]"),
+        ("--alphas", "1,nan", "--alphas values must be finite, got [nan]"),
+        ("--alphas", "-inf", "--alphas values must be finite, got [-inf]"),
+    ])
+    def test_non_finite_grid_exit_one_before_solve(
+            self, instance, tmp_path, capsys, monkeypatch, flag, values, message):
+        import nrreg.cli
+        monkeypatch.setattr(nrreg.cli, "register",
+                            lambda *args: pytest.fail("registration ran"))
+        out = tmp_path / "cmp"
+        code = run("compare", "--template", str(instance / "template.ply"),
+                   "--target", str(instance / "target.ply"),
+                   "--ground-truth", str(instance / "target.ply"),
+                   f"{flag}={values}", "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_invalid_grid_point_exit_one(self, instance, tmp_path, capsys):
         code = run("compare", "--template", str(instance / "template.ply"),

@@ -3,6 +3,7 @@ oracles: grid-search proximal operators, quaternion-parameterized rotation
 search, dense linear solves, and finite differences of the quadratic model."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from nrreg import (
     assemble_V,
     assemble_system,
     block_shrink,
-    build_S_terms,
     factorize_system,
     procrustes_project,
     register,
@@ -33,12 +33,12 @@ from nrreg.operators import (
     _POLAR_COND,
     SystemStructure,
     _newton_polar,
-    _suspect_blocks,
+    _singular,
+    _unanchored_vertices,
     homogeneous,
     nearest_rotations,
     project_rotations,
     rotation_rhs,
-    system_matrix,
 )
 from nrreg.synthesis import landmark_subset, make_strip
 
@@ -458,7 +458,7 @@ class TestFactorizeAndSolve:
         corr = CorrespondenceMap(np.array([1]))
         sys_ = assemble_system(template, np.empty((0, 2), np.int64), corr,
                                np.array([[4.0, 5.0, 6.0]]))
-        a = system_matrix(1.0, 1.0, 1.0, sys_).toarray()
+        a = sparse_product_system_matrix(1.0, 1.0, 1.0, sys_).toarray()
         assert np.linalg.eigvalsh(a).min() > 1e-6
         handle = factorize_system(1.0, 1.0, 1.0, sys_)
         rhs = np.random.default_rng(0).standard_normal((4, 3))
@@ -488,26 +488,10 @@ class TestFactorizeAndSolve:
         assert str(exc.value) == ("singular system: Factor is exactly singular; "
                                   "suspect vertex blocks [3, 4]")
 
-    def test_suspect_blocks_match_per_vertex_loop(self):
-        # full-rank diagonal blocks except 2 and 7, plus dense off-diagonal
-        # coupling that must not count towards any block's rank
-        rng = np.random.default_rng(8)
-        n = 10
-        dense = rng.standard_normal((4 * n, 4 * n))
-        for i in range(n):
-            g = rng.standard_normal((4, 2 if i in (2, 7) else 4))
-            dense[4 * i:4 * i + 4, 4 * i:4 * i + 4] = g @ g.T
-        a = sp.csc_matrix(dense)
-        tol = 1e-10 * max(a.diagonal().max(), 1.0)
-        ref = [i for i in range(n) if np.linalg.matrix_rank(
-            a[4 * i:4 * i + 4, 4 * i:4 * i + 4].toarray(), tol=tol) < 4]
-        assert ref == [2, 7]
-        assert _suspect_blocks(a) == ref
-
     def test_random_connected_matches_dense_oracle(self):
         for seed in range(5):
             sys_ = small_system(n=20, seed=seed)
-            a = system_matrix(2.0, 3.0, 0.5, sys_)
+            a = sparse_product_system_matrix(2.0, 3.0, 0.5, sys_)
             handle = factorize_system(2.0, 3.0, 0.5, sys_)
             rhs = np.random.default_rng(seed).standard_normal((80, 3))
             x = handle.solve(rhs)
@@ -518,7 +502,7 @@ class TestFactorizeAndSolve:
 
     def test_solve_recovers_known_solution(self):
         sys_ = small_system(n=15, seed=3)
-        a = system_matrix(1.0, 1.0, 0.2, sys_)
+        a = sparse_product_system_matrix(1.0, 1.0, 0.2, sys_)
         x0 = np.random.default_rng(2).standard_normal((60, 3))
         handle = factorize_system(1.0, 1.0, 0.2, sys_)
         x = solve_X(handle, a @ x0)
@@ -529,6 +513,16 @@ class TestFactorizeAndSolve:
         handle = factorize_system(1.0, 1.0, 0.2, sys_)
         x = solve_X(handle, np.zeros((40, 3)))
         np.testing.assert_allclose(x.stacked, 0.0, atol=1e-12)
+
+    def test_non_finite_solution_raises(self):
+        # a NaN right-hand-side row reaches every unknown of its component:
+        # the solve names the system, it returns no NaN transforms
+        sys_ = small_system(n=10, seed=4)
+        rhs = np.zeros((40, 3))
+        rhs[5, 1] = np.nan
+        handle = factorize_system(1.0, 1.0, 0.2, sys_)
+        with pytest.raises(SingularSystemError, match="solve produced non-finite values"):
+            handle.solve(rhs)
 
     def test_invalid_penalties_rejected(self):
         sys_ = small_system(n=5, seed=5)
@@ -543,13 +537,6 @@ class TestSTerms:
         block = np.hstack([np.eye(3), np.array([[0.4], [0.5], [0.6]])])
         x = TransformStack(block[None])
         np.testing.assert_allclose(x.linear_parts()[0], np.eye(3))
-
-    def test_selector_zeroes_translation_row(self):
-        s = build_S_terms(2)
-        x = TransformStack(np.random.default_rng(3).standard_normal((2, 3, 4)))
-        filtered = TransformStack.from_stacked(s @ x.stacked)
-        np.testing.assert_allclose(filtered.linear_parts(), x.linear_parts())
-        np.testing.assert_allclose(filtered.blocks[:, :, 3], 0.0)
 
     def test_finite_difference_gradient_of_quadratic_model(self):
         # the assembled normal equations must be the exact gradient of the
@@ -573,7 +560,7 @@ class TestSTerms:
                     + mu1 / 2 * np.sum((c - g1 + y1 / mu1) ** 2)
                     + mu2 / 2 * np.sum((a_aux - g2 + y2 / mu2) ** 2))
 
-        a_mat = system_matrix(mu1, mu2, 2.0 * beta, sys_)
+        a_mat = sparse_product_system_matrix(mu1, mu2, 2.0 * beta, sys_)
         wU = sys_.w_data[:, None] * sys_.U_f
         rhs = sys_.V.T @ (sys_.w_data[:, None] * (y1 + mu1 * (c + wU))) \
             + sys_.B.T @ (sys_.w_smooth[:, None] * (y2 + mu2 * a_aux)) \
@@ -593,7 +580,7 @@ class TestSTerms:
 class TestSystemInvariants:
     def test_system_matrix_symmetric(self):
         sys_ = small_system(n=12, seed=8)
-        a = system_matrix(1.0, 2.0, 0.3, sys_)
+        a = sparse_product_system_matrix(1.0, 2.0, 0.3, sys_)
         assert abs(a - a.T).max() < 1e-12
 
     def test_unmatched_rows_zero_weight(self):
@@ -687,15 +674,12 @@ class TestFixedPatternSystemMatrix:
     @settings(max_examples=300, deadline=None)
     @given(weighted_systems())
     def test_matches_sparse_products_and_dense_oracle(self, case):
+        # the sparse-product reference the tests use for the 4N x 4N matrix
         sys_, verts, edges, mu1, mu2, beta = case
-        a = system_matrix(mu1, mu2, beta, sys_)
-        ref = sparse_product_system_matrix(mu1, mu2, beta, sys_)
+        a = sparse_product_system_matrix(mu1, mu2, beta, sys_)
         assert a.format == "csc" and a.has_canonical_format
-        # the singular report reads empty columns: no explicit zeros
+        # the singular report's reference reads empty columns: no explicit zeros
         assert np.all(a.data != 0)
-        np.testing.assert_array_equal(a.indptr, ref.indptr)
-        np.testing.assert_array_equal(a.indices, ref.indices)
-        np.testing.assert_array_equal(a.data, ref.data)
         dense = dense_system_matrix(mu1, mu2, beta, verts, edges,
                                     sys_.w_data, sys_.w_smooth)
         scale = max(np.abs(dense).max(), 1.0)
@@ -703,6 +687,8 @@ class TestFixedPatternSystemMatrix:
         assert (a != a.T).nnz == 0
 
     def test_strip_matches_sparse_products(self):
+        # the factorization solves the sparse-product matrix on a strip, up
+        # to penalties as large as the inner loop reaches
         template = make_strip(12, 5, 0.1, relief=0.5)
         rng = np.random.default_rng(3)
         n = template.n_vertices
@@ -711,24 +697,28 @@ class TestFixedPatternSystemMatrix:
         sys_ = assemble_system(template, template.edges, corr,
                                template.vertices, rng.random(n) + 0.01,
                                rng.random(len(template.edges)) + 0.01)
+        x0 = rng.standard_normal((4 * n, 3))
         for mu1, mu2, beta in [(1.0, 1.0, 0.0), (3.5, 0.7, 0.2),
                                (2.0 ** 17, 2.0 ** 17, 0.2)]:
-            a = system_matrix(mu1, mu2, beta, sys_)
-            ref = sparse_product_system_matrix(mu1, mu2, beta, sys_)
-            for got, want in [(a.data, ref.data), (a.indices, ref.indices),
-                              (a.indptr, ref.indptr)]:
-                np.testing.assert_array_equal(got, want)
+            a = sparse_product_system_matrix(mu1, mu2, beta, sys_)
+            b = a @ x0
+            x = factorize_system(mu1, mu2, beta, sys_).solve(b)
+            scale = sp.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b)
+            assert np.linalg.norm(a @ x - b) <= 1e-14 * scale
 
     def test_new_weights_never_meet_old_values(self):
+        # a system with new weights factorizes its own matrix, not the one
+        # of the system it was replaced from, on the same structure
         sys_ = small_system(n=10, seed=12)
-        first = system_matrix(1.0, 2.0, 0.3, sys_)
+        rhs = np.random.default_rng(14).standard_normal((40, 3))
+        first = factorize_system(1.0, 2.0, 0.3, sys_).solve(rhs)
         rng = np.random.default_rng(13)
         for changed in (replace(sys_, w_data=sys_.w_data * rng.random(10)),
                         replace(sys_, w_smooth=rng.random(sys_.n_edges))):
-            a = system_matrix(1.0, 2.0, 0.3, changed)
-            ref = sparse_product_system_matrix(1.0, 2.0, 0.3, changed)
-            np.testing.assert_array_equal(a.data, ref.data)
-            assert not np.array_equal(a.data, first.data)
+            x = factorize_system(1.0, 2.0, 0.3, changed).solve(rhs)
+            a = sparse_product_system_matrix(1.0, 2.0, 0.3, changed)
+            np.testing.assert_allclose(a @ x, rhs, atol=1e-9)
+            assert not np.allclose(x, first)
         assert changed.structure is sys_.structure
 
     @settings(max_examples=300, deadline=None)
@@ -746,14 +736,12 @@ class TestFixedPatternSystemMatrix:
         t[:, 3, :3] = -st_.vh[:, :3]
         t[:, 3, 3] = 1.0
         t = sp.block_diag(list(t)).toarray()
-        ks = t.T @ system_matrix(0.0, 1.0, 0.0, sys_).toarray() @ t
+        ks = t.T @ sparse_product_system_matrix(0.0, 1.0, 0.0, sys_).toarray() @ t
         tol = 1e-12 * np.abs(ks).max()
         blocks = ks.reshape(n, 4, n, 4)
         diag = np.arange(n)
         basis = sys_.penalty_basis
         linear = blocks[diag, :3, diag, :3]
-        rows, cols = np.tril_indices(3)
-        assert np.abs(basis.lower - linear[:, rows, cols].T).max() <= tol
         q = basis.lift[:, :3]
         eig = q @ (basis.lam.T[:, :, None] * q.transpose(0, 2, 1))
         assert np.abs(eig - linear).max() <= tol
@@ -784,6 +772,37 @@ class TestFixedPatternSystemMatrix:
         np.testing.assert_array_equal(st_.edge_pp, [[0, 1, 0, 2], [1, 0, 1, 3],
                                                     [5, 5, 5, 6]])
         assert len(st_.pp_band) == 5 + 2
+
+
+def singular_rule_4n(mu1, mu2, beta, sys):
+    """The singular report's reason and rank-deficient vertex blocks as read
+    off the 4N x 4N sparse-product matrix: exactly singular when a column
+    is empty, and the 4x4 diagonal blocks of rank < 4 at 1e-10 times the
+    largest diagonal entry (at least 1)."""
+    a = sparse_product_system_matrix(mu1, mu2, beta, sys)
+    exact = np.any(np.diff(a.indptr) == 0)
+    tol = 1e-10 * a.diagonal().max(initial=1.0)
+    dense = a.toarray()
+    suspects = [i for i in range(sys.n) if np.linalg.matrix_rank(
+        dense[4 * i:4 * i + 4, 4 * i:4 * i + 4], tol=tol) < 4]
+    return ("Factor is exactly singular" if exact else "zero pivot"), suspects
+
+
+class TestSingularReport:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_systems())
+    def test_reason_and_suspects_match_4n_rule(self, case):
+        # the report sums the 4x4 diagonal blocks from the edges; it words
+        # its reason and names its suspects as the 4N x 4N matrix would
+        sys_, _, _, mu1, mu2, beta = case
+        reason, suspects = singular_rule_4n(mu1, mu2, beta, sys_)
+        bad = _unanchored_vertices(sys_) or suspects
+        err = _singular(mu1, mu2, beta, sys_)
+        assert str(err) == f"singular system: {reason}; suspect vertex blocks {bad}"
+        assert err.vertex_blocks == tuple(bad)
+        # the rank test on its own, also where a component is unanchored
+        with mock.patch("nrreg.operators._unanchored_vertices", return_value=[]):
+            assert _singular(mu1, mu2, beta, sys_).vertex_blocks == tuple(suspects)
 
 
 class TestBlockOrdering:
@@ -829,7 +848,7 @@ class TestBlockOrdering:
         # isolated and unmatched vertices, self-loops, duplicate edges and
         # zero weights: the permuted factorization solves in vertex order
         sys_, verts, edges, mu1, mu2, beta = case
-        dense = system_matrix(mu1, mu2, beta, sys_).toarray()
+        dense = sparse_product_system_matrix(mu1, mu2, beta, sys_).toarray()
         rhs = np.random.default_rng(0).standard_normal((len(dense), 3))
         eig = np.linalg.eigvalsh(dense)
         try:
@@ -878,7 +897,7 @@ class TestBlockOrdering:
         for mu1, mu2, beta in [(1.0, 1.0, 0.2), (2.0 ** 10, 2.0 ** 10, 0.2)]:
             band = factorize_system(mu1, mu2, beta, sys_)._band
             assert band.shape == (sys_.structure.bandwidth + 1, n)
-            ref = splu(system_matrix(mu1, mu2, beta, sys_),
+            ref = splu(sparse_product_system_matrix(mu1, mu2, beta, sys_),
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             assert band.size <= ref.L.nnz + ref.U.nnz
 
@@ -894,7 +913,7 @@ class TestBlockOrdering:
                                CorrespondenceMap(np.arange(1, 13)), verts)
         st_ = sys_.structure
         n_blocks = 2 * len(st_.pp_band) - 12    # 12 diagonals, 2 per vertex pair
-        assert system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * n_blocks
+        assert sparse_product_system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * n_blocks
         index, rows = st_.band_index.copy(), st_.pair_rows.copy()
         factored = []
         monkeypatch.setattr(nrreg.operators, "dpbtrf", lambda ab, **kw:
@@ -914,7 +933,7 @@ class TestBlockOrdering:
             st_.band_index[0] = 1
         with pytest.raises(ValueError):
             st_.pair_rows[0] = 1
-        dense = system_matrix(1.0, 1.0, 0.3, sys_).toarray()
+        dense = sparse_product_system_matrix(1.0, 1.0, 0.3, sys_).toarray()
         np.testing.assert_allclose(dense @ first, rhs, atol=1e-9)
 
 
@@ -938,7 +957,7 @@ class TestCondensedSolve:
         # replaced and against a dense solve, on strips and squares, with
         # and without the rotation penalty that keeps the 3x3 blocks definite
         sys_ = weighted_mesh_system(*grid)
-        dense = system_matrix(mu, mu, beta, sys_).toarray()
+        dense = sparse_product_system_matrix(mu, mu, beta, sys_).toarray()
         rhs = np.random.default_rng(0).standard_normal((len(dense), 3))
         handle = factorize_system(mu, mu, beta, sys_)
         x = handle.solve(rhs)
@@ -957,7 +976,8 @@ class TestCondensedSolve:
         # oracle, dense: T^T A T for x_i = T_i z_i, z_i = (a_i, p_i), its 3x3
         # linear-part blocks, and their Schur complement in p, factorized by
         # Cholesky in the structure's order: the pivots are L_ii^2 and the
-        # blocks' LDL^T pivots times the structure's pivot scale
+        # blocks' eigenvalues beta + mu2 lambda times the structure's pivot
+        # scale
         sys_ = weighted_mesh_system(12, 12)
         st_ = sys_.structure
         n = st_.n
@@ -966,25 +986,26 @@ class TestCondensedSolve:
         t[:, 3, :3] = -st_.vh[:, :3]
         t[:, 3, 3] = 1.0
         t = sp.block_diag(list(t)).toarray()
-        a = t.T @ system_matrix(2.0 ** 8, 2.0 ** 8, beta, sys_).toarray() @ t
+        a = sparse_product_system_matrix(2.0 ** 8, 2.0 ** 8, beta, sys_).toarray()
+        a = t.T @ a @ t
         lin = (4 * np.arange(n)[:, None] + np.arange(3)).reshape(-1)
         pos = 4 * np.arange(n) + 3
         m = a[np.ix_(lin, lin)]
         schur = a[np.ix_(pos, pos)] - a[np.ix_(pos, lin)] @ np.linalg.solve(
             m, a[np.ix_(lin, pos)])
         diag = np.arange(n)
-        blocks = np.linalg.cholesky(m.reshape(n, 3, n, 3)[diag, :, diag])
+        blocks = np.linalg.eigvalsh(m.reshape(n, 3, n, 3)[diag, :, diag])
         pivots = np.concatenate([
             np.diag(np.linalg.cholesky(schur[np.ix_(st_.order, st_.order)])) ** 2,
-            st_.pivot_scale * np.diagonal(blocks, axis1=1, axis2=2).reshape(-1) ** 2])
+            st_.pivot_scale * blocks.reshape(-1)])
         handle = factorize_system(2.0 ** 8, 2.0 ** 8, beta, sys_)
         ratio = pivots.min() / pivots.max()
         assert handle.pivot_ratio == pytest.approx(ratio, rel=1e-8)
 
     def test_nonpositive_eigenvalue_is_singular(self):
         # rounding can put an eigenvalue of a nearly rank-deficient linear
-        # block below -beta / mu2 where its Cholesky pivots stay positive:
-        # the factorization names the system singular, never divides by it
+        # block below -beta / mu2: the factorization names the system
+        # singular, never divides by it
         sys_ = weighted_mesh_system(12, 12)
         basis = sys_.penalty_basis
         assert basis is not sys_.structure.unit_penalty_basis

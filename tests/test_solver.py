@@ -22,7 +22,6 @@ from nrreg import (
 )
 from nrreg.geometry import Shape, build_edge_graph, knn_edges
 from nrreg.metrics import mean_distance_error
-from nrreg.operators import system_matrix
 from nrreg.synthesis import (
     DeformationSpec,
     landmark_subset,
@@ -61,10 +60,21 @@ class TestSolverConfig:
     def test_defaults_valid(self):
         SolverConfig().validate()
 
+    def test_zero_tolerances_and_no_gate_valid(self):
+        SolverConfig(inner_tol=0.0, outer_tol=0.0, reweight_start_tol=0.0,
+                     max_dist_factor=float("inf")).validate()
+
     @pytest.mark.parametrize("kwargs", [
         {"rho1": 1.0}, {"rho2": 0.5}, {"mu1_init": 0.0}, {"eps_data": 0.0},
         {"outer_iters": 0}, {"inner_iters": 0}, {"alpha": -1.0},
         {"beta": -0.1}, {"variant": "unknown"}, {"variant": "l2", "alpha": 0.0},
+        {"alpha": float("nan")}, {"beta": float("nan")}, {"rho1": float("nan")},
+        {"eps_smooth": float("nan")}, {"outer_tol": float("nan")},
+        {"max_dist_factor": float("nan")}, {"max_normal_angle": float("nan")},
+        {"outer_iters": float("nan")},
+        {"inner_tol": -1e-9}, {"outer_tol": -1.0}, {"reweight_start_tol": -1.0},
+        {"max_dist_factor": 0.0}, {"max_dist_factor": -1.0},
+        {"max_normal_angle": 0.0}, {"knn_k": 0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
