@@ -45,7 +45,6 @@ from .solver import (
     evaluate_energy,
     register,
     solve_l2_baseline,
-    solve_variant,
     update_weights,
 )
 from .synthesis import (

@@ -225,26 +225,23 @@ def with_normals(shape):
 # ---------------------------------------------------------------------------
 # File I/O
 
-def load_shape(path, fmt=None):
-    """Load an OBJ or PLY file; format inferred from the extension by default."""
+def load_shape(path):
+    """Load a PLY file (``.ply`` extension, any case) or else an OBJ file."""
     path = str(path)
-    return _load_ply(path) if _mesh_format(path, fmt) == "ply" else _load_obj(path)
+    return _load_ply(path) if _is_ply(path) else _load_obj(path)
 
 
-def save_shape(shape, path, fmt=None, binary=False):
+def save_shape(shape, path, binary=False):
+    """Save as PLY (``.ply`` extension, any case) or else as OBJ."""
     path = str(path)
-    if _mesh_format(path, fmt) == "ply":
+    if _is_ply(path):
         _save_ply(shape, path, binary=binary)
     else:
         _save_obj(shape, path)
 
 
-def _mesh_format(path, fmt):
-    if fmt is None:
-        fmt = "ply" if path.lower().endswith(".ply") else "obj"
-    if fmt not in ("obj", "ply"):
-        raise ValueError(f"unknown format {fmt!r}")
-    return fmt
+def _is_ply(path):
+    return path.lower().endswith(".ply")
 
 
 def _load_obj(path):

@@ -10,7 +10,6 @@ import numpy as np
 from . import correspondence as corrmod
 from .geometry import Shape, build_edge_graph, compute_vertex_normals, mean_edge_length
 from .operators import (
-    Factorization,
     SystemMatrices,
     SystemStructure,
     TransformStack,
@@ -24,7 +23,7 @@ from .operators import (
 )
 
 # data-auxiliary update C = f(G1, Y1, mu1) of each inner-loop variant; "l2"
-# has no inner loop (solve_variant sends it to solve_l2_baseline)
+# has no inner loop (register sends it to solve_l2_baseline)
 DATA_UPDATES = {
     "dual_sparse": lambda G1, Y1, mu1: shrink(G1 - Y1 / mu1, 1.0 / mu1),
     # quadratic data term: exact minimizer, no shrinkage
@@ -124,10 +123,6 @@ def evaluate_energy(X, sys, R, alpha, beta):
     return {"data": data, "smooth": smooth, "orth": orth, "total": total}
 
 
-def _identity_rotations(n):
-    return np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-
-
 def admm_solve(sys, X_init, cfg):
     """Inner alternating loop: closed-form updates of the data auxiliary, the
     smoothness auxiliary, the per-vertex rotations and the transforms, then
@@ -135,11 +130,11 @@ def admm_solve(sys, X_init, cfg):
     norm over sqrt(rows)) drop below ``inner_tol``.
     """
     n, ne = sys.n, sys.n_edges
-    X = X_init.copy()
+    X = X_init
     Y1 = np.zeros((n, 3))
     Y2 = np.zeros((ne, 3))
     mu1, mu2 = cfg.mu1_init, cfg.mu2_init
-    R = _identity_rotations(n)
+    R = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
     C = np.zeros((n, 3))
     A = np.zeros((ne, 3))
     history = []
@@ -152,17 +147,15 @@ def admm_solve(sys, X_init, cfg):
     k = 0
     for k in range(1, cfg.inner_iters + 1):
         C = data_update(G1, Y1, mu1)
-        if ne:
-            A = shrink(G2 - Y2 / mu2, cfg.alpha / mu2)
+        A = shrink(G2 - Y2 / mu2, cfg.alpha / mu2)
         if cfg.beta > 0:
             R = project_rotations(X)
         # transform update: exact minimizer of the augmented Lagrangian in X;
         # the rotation penalty enters with coefficient 2*beta (gradient of the
         # squared Frobenius term)
         handle = factorize_system(mu1, mu2, 2.0 * cfg.beta, sys)
-        rhs = VT @ (sys.w_data[:, None] * (Y1 + mu1 * (C + wU)))
-        if ne:
-            rhs = rhs + BT @ (sys.w_smooth[:, None] * (Y2 + mu2 * A))
+        rhs = VT @ (sys.w_data[:, None] * (Y1 + mu1 * (C + wU))) \
+            + BT @ (sys.w_smooth[:, None] * (Y2 + mu2 * A))
         if cfg.beta > 0:
             rhs = rhs + 2.0 * cfg.beta * rotation_rhs(R)
         X = solve_X(handle, rhs)
@@ -171,7 +164,7 @@ def admm_solve(sys, X_init, cfg):
         Y1 = Y1 + mu1 * (C - G1)
         Y2 = Y2 + mu2 * (A - G2)
         r1 = float(np.linalg.norm(C - G1) / np.sqrt(max(n, 1)))
-        r2 = float(np.linalg.norm(A - G2) / np.sqrt(max(ne, 1))) if ne else 0.0
+        r2 = float(np.linalg.norm(A - G2) / np.sqrt(max(ne, 1)))
         history.append((r1, r2))
         mu1 *= cfg.rho1
         mu2 *= cfg.rho2
@@ -199,50 +192,23 @@ def update_weights(X_prev, corr, sys, eps_data, eps_smooth):
     return w_data, w_smooth
 
 
-@dataclass
-class L2Factorization:
-    """The l2 baseline's factorization and the binary match mask it was built
-    for. ``register`` holds one for the length of a registration (one alpha)
-    and drops it with the registration; ``refactorized`` says whether the
-    last solve factorized."""
-
-    mask: np.ndarray | None = None
-    handle: Factorization | None = None
-    refactorized: bool = False
-
-
 def solve_l2_baseline(sys, alpha, held=None):
     """Classic quadratic baseline: min ||W(VX - U)||_F^2 + alpha ||B X||_F^2
     with binary match weights; one symmetric factorized solve.
 
-    The matrix depends only on the structure, alpha and the binary match
-    mask; the matched targets enter only the right-hand side. So with
-    ``held`` (an L2Factorization of earlier calls at the same alpha), a mask
-    bit-for-bit equal to the held one reuses the held factorization, and
-    only the right-hand side and the solve run.
+    Returns ``(X, held)``, where ``held`` is the ``(mask, Factorization)``
+    pair the solve used. The matrix depends only on the structure, alpha and
+    the binary match mask; the matched targets enter only the right-hand
+    side. So a ``held`` pair from an earlier call at the same alpha whose
+    mask is bit-for-bit equal to this one is reused and returned as is;
+    otherwise a new pair is factorized and returned.
     """
-    if held is None:
-        held = L2Factorization()
     mask = sys.w_data > 0
     w = mask.astype(float)
-    held.refactorized = held.mask is None or not np.array_equal(mask, held.mask)
-    if held.refactorized:
-        # drop the old factorization first: at most one is alive
-        held.mask = held.handle = None
+    if held is None or not np.array_equal(mask, held[0]):
         binary = replace(sys, w_data=w, w_smooth=np.ones(sys.n_edges))
-        held.handle = factorize_system(1.0, alpha, 0.0, binary)
-        held.mask = mask
-    return solve_X(held.handle, sys.structure.VT @ (w[:, None] * sys.U_f))
-
-
-def solve_variant(variant, sys, cfg, X_init=None, held=None):
-    """Run one transform-estimation step for the requested model variant;
-    ``held`` is passed on to ``solve_l2_baseline``."""
-    if X_init is None:
-        X_init = TransformStack.identity(sys.n)
-    if variant == "l2":
-        return solve_l2_baseline(sys, cfg.alpha, held), None
-    return admm_solve(sys, X_init, replace(cfg, variant=variant))
+        held = mask, factorize_system(1.0, alpha, 0.0, binary)
+    return solve_X(held[1], sys.structure.VT @ (w[:, None] * sys.U_f)), held
 
 
 @dataclass
@@ -313,7 +279,7 @@ def register(template, target, landmarks, cfg):
     lbar = mean_edge_length(targ) if np.isfinite(cfg.max_dist_factor) else None
 
     structure = SystemStructure(tmpl.vertices, edges)
-    held = L2Factorization()
+    held = state = None             # l2: (mask, Factorization) of the last solve
     X = TransformStack.identity(tmpl.n_vertices)
     log = []
     converged = False
@@ -340,16 +306,18 @@ def register(template, target, landmarks, cfg):
         if reweighted:
             wd, ws = update_weights(X, corr, sys, cfg.eps_data, cfg.eps_smooth)
             sys = replace(sys, w_data=wd, w_smooth=ws)
-        X_new, state = solve_variant(cfg.variant, sys, cfg, X_init=X, held=held)
-        if state is not None:
+        if cfg.variant == "l2":
+            X_new, returned = solve_l2_baseline(sys, cfg.alpha, held)
+            energies = evaluate_energy(X_new, sys, None, cfg.alpha, 0.0)
+            inner, factorizations, history = 1, int(returned is not held), []
+            held = returned
+        else:
+            X_new, state = admm_solve(sys, X, cfg)
             energies = evaluate_energy(X_new, sys, state.R, cfg.alpha, cfg.beta)
             # one factorization per inner iteration
             inner = factorizations = state.n_iters
-            res = state.residuals[-1] if state.residuals else (0.0, 0.0)
-        else:
-            energies = evaluate_energy(X_new, sys, None, cfg.alpha, 0.0)
-            inner, res = 1, (0.0, 0.0)
-            factorizations = int(held.refactorized)
+            history = state.residuals
+        res = history[-1] if history else (0.0, 0.0)
         disp = float(np.mean(np.linalg.norm(X_new.apply(tmpl_v) - deformed_v,
                                             axis=1)))
         log.append({
@@ -357,7 +325,7 @@ def register(template, target, landmarks, cfg):
             "inner": inner,
             "energies": energies,
             "residuals": {"data": res[0], "smooth": res[1]},
-            "residual_history": list(state.residuals) if state else [],
+            "residual_history": list(history),
             "matched": corr.n_matched(),
             "mean_displacement": disp,
             "factorizations": factorizations,

@@ -16,7 +16,6 @@ from nrreg import (
     evaluate_energy,
     register,
     solve_l2_baseline,
-    solve_variant,
     synth_deformation,
     update_weights,
 )
@@ -164,6 +163,22 @@ class TestAdmmSolve:
             assert entry["inner"] <= 20
             assert max(entry["residual_history"][-1]) < 1e-6
 
+    def test_edgeless_system(self):
+        # without edges the smoothness auxiliary is empty, its right-hand
+        # side term is zero and its residual reads 0
+        n = 12
+        verts = random_cloud(n, seed=14)
+        edges = np.zeros((0, 2), dtype=np.int64)
+        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
+                               CorrespondenceMap(np.arange(1, n + 1)),
+                               random_cloud(n, seed=15))
+        assert sys_.n_edges == 0
+        _, state = admm_solve(sys_, TransformStack.identity(n), SolverConfig())
+        assert state.A.shape == (0, 3)
+        assert [r_smooth for _, r_smooth in state.residuals] == \
+            [0.0] * state.n_iters
+        assert state.converged
+
     def test_penalties_increase(self):
         sys_, _ = aligned_system(n=10, seed=2)
         cfg = SolverConfig(inner_tol=0.0, inner_iters=5)
@@ -281,6 +296,48 @@ class TestRegister:
         c = register(b["template"], b["target"], b["landmarks"], cfg)
         assert json.dumps(a.log, sort_keys=True) == \
             json.dumps(c.log, sort_keys=True)
+
+    @staticmethod
+    def with_target_duplicates(target, count, seed):
+        """``target`` with ``count`` of its vertices appended again; the
+        faces, if any, reference none of the copies."""
+        picks = np.random.default_rng(seed).choice(target.n_vertices, count,
+                                                   replace=False)
+        return replace(target, vertices=np.concatenate(
+            [target.vertices, target.vertices[picks]]), normals=None)
+
+    def test_target_duplicates_unreferenced_by_faces(self, bend_instance):
+        # a copy ties with its original in every closest-point query, and
+        # ties go to the lower index: the registration is that of the clean
+        # target, bit for bit
+        b = bend_instance
+        corrupted, _ = perturb_outliers(b["target"], 0.05, 3.0, seed=13)
+        clean = register(b["template"], corrupted, b["landmarks"], b["cfg"])
+        dup = register(b["template"],
+                       self.with_target_duplicates(corrupted, 30, seed=16),
+                       b["landmarks"], b["cfg"])
+        assert clean.converged
+        assert dup.transforms.blocks.tobytes() == \
+            clean.transforms.blocks.tobytes()
+        assert json.dumps(dup.log, sort_keys=True) == \
+            json.dumps(clean.log, sort_keys=True)
+
+    def test_target_duplicates_in_cloud(self, bend_instance):
+        # faceless: the copies enter the target's k-NN graph (zero-length
+        # edges shorten the distance gate's unit), and the run still converges
+        b = bend_instance
+        corrupted, _ = perturb_outliers(b["target"], 0.05, 3.0, seed=13)
+        cloud = Shape(vertices=corrupted.vertices)
+        clean = register(b["template"], cloud, b["landmarks"], b["cfg"])
+        dup = register(b["template"],
+                       self.with_target_duplicates(cloud, 30, seed=16),
+                       b["landmarks"], b["cfg"])
+        assert clean.converged and dup.converged
+        diag = b["template"].bbox_diagonal()
+        e_clean = mean_distance_error(clean.transforms, b["template"], b["gt"])
+        e_dup = mean_distance_error(dup.transforms, b["template"], b["gt"])
+        assert e_dup < 1e-4 * diag
+        assert e_dup == pytest.approx(e_clean, rel=0.01)
 
     def test_faceless_target_graph_built_once(self, bend_instance, monkeypatch):
         import nrreg.correspondence
@@ -475,7 +532,7 @@ class TestRegister:
 class TestL2Baseline:
     def test_exact_alignment_zero_residual(self):
         sys_, _ = aligned_system(n=16, seed=4)
-        x = solve_l2_baseline(sys_, alpha=1.0)
+        x, _ = solve_l2_baseline(sys_, alpha=1.0)
         assert np.abs(sys_.V @ x.stacked - sys_.U_f).max() < 1e-8
 
     def test_faceless_singular_vertices_have_in_degree_below_three(self):
@@ -526,7 +583,7 @@ class TestL2Baseline:
         target = verts @ np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1.0]]).T + 0.3
         sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
                                corr, target)
-        x = solve_l2_baseline(sys_, alpha=1e8)
+        x, _ = solve_l2_baseline(sys_, alpha=1e8)
         spread = np.abs(x.blocks - x.blocks.mean(axis=0)).max()
         assert spread < 1e-4
 
@@ -541,7 +598,7 @@ class TestL2Baseline:
         sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
                                corr, target)
         alpha = 0.7
-        x = solve_l2_baseline(sys_, alpha)
+        x, _ = solve_l2_baseline(sys_, alpha)
         w = (sys_.w_data > 0).astype(float)
         V = sys_.V.toarray() * w[:, None]
         B = sys_.B.toarray()
@@ -590,8 +647,24 @@ class TestL2FactorizationReuse:
         # each outer iteration's transforms bit for bit those of a solve
         # that factorizes its own system
         for sys_, x in zip(seen["systems"], seen["transforms"]):
-            assert np.array_equal(solve_l2_baseline(sys_, alpha).blocks,
+            assert np.array_equal(solve_l2_baseline(sys_, alpha)[0].blocks,
                                   x.blocks)
+
+    def test_returned_pair_reused_only_for_equal_mask(self):
+        sys_, _ = aligned_system(n=16, seed=4)
+        _, held = solve_l2_baseline(sys_, 1.0)
+        assert np.array_equal(held[0], sys_.w_data > 0)
+        # new targets, same mask: the pair passed in comes back
+        moved = replace(sys_, U_f=sys_.U_f + 0.1)
+        x, again = solve_l2_baseline(moved, 1.0, held)
+        assert again is held
+        assert np.array_equal(x.blocks, solve_l2_baseline(moved, 1.0)[0].blocks)
+        # one vertex unmatched: a new pair, for the new mask
+        w = sys_.w_data.copy()
+        w[3] = 0.0
+        _, fresh = solve_l2_baseline(replace(sys_, w_data=w), 1.0, held)
+        assert fresh is not held
+        assert np.array_equal(fresh[0], w > 0)
 
     def test_bend_transforms_match_refactorizing_run(self, bend_instance,
                                                      monkeypatch):
@@ -629,7 +702,10 @@ class TestVariants:
     def test_clean_data_converges(self, variant):
         sys_, _ = aligned_system(n=18, seed=12)
         cfg = SolverConfig(variant=variant)
-        x, _ = solve_variant(variant, sys_, cfg)
+        if variant == "l2":
+            x, _ = solve_l2_baseline(sys_, cfg.alpha)
+        else:
+            x, _ = admm_solve(sys_, TransformStack.identity(sys_.n), cfg)
         assert np.abs(sys_.V @ x.stacked - sys_.U_f).max() < 1e-6
 
     def test_outlier_ordering_dual_below_l2(self, bend_instance):
