@@ -67,9 +67,7 @@ def save_transforms(path, stack):
     """Text format: header line, then per vertex 3 lines of 4 reals
     (row-major 3x4 block). Reals use shortest round-trip repr."""
     lines = [f"{TRANSFORM_HEADER} N={stack.n}"]
-    for block in stack.blocks:
-        for row in block:
-            lines.append(" ".join(repr(float(v)) for v in row))
+    lines += (" ".join(map(repr, row)) for row in stack.blocks.reshape(-1, 4).tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -91,37 +91,41 @@ def save_correspondences(corr, path):
 
 
 def closest_point_refresh(deformed, target, max_dist=3.0, max_normal_angle=60.0,
-                          lbar=None):
+                          lbar=None, tree=None):
     """ICP-style closest-point correspondences with distance and normal gates.
 
-    ``max_dist`` is a multiple of the target mean edge length ``lbar``
-    (computed here unless given: a caller refreshing against one target many
-    times passes it in); matches beyond it are rejected, as are matches
-    whose normals disagree by more than ``max_normal_angle`` degrees
-    (skipped if either shape lacks normals). Exact kd-tree search
-    (``geometry.nearest_neighbors``); ties go to the lowest target index.
+    ``max_dist`` is a multiple of the target mean edge length ``lbar``;
+    matches beyond it are rejected, and the search looks no further. Matches
+    whose normals disagree by more than ``max_normal_angle`` degrees are
+    rejected too (skipped if either shape lacks normals). Exact kd-tree
+    search (``geometry.nearest_neighbors``); ties go to the lowest target
+    index. ``lbar`` and ``tree`` (a ``cKDTree`` over the target's vertices)
+    are computed here unless given: a caller refreshing against one target
+    many times passes them in.
     """
     if target.n_vertices == 0:
         raise ValueError("target is empty")
     if max_dist <= 0 or max_normal_angle <= 0:
         raise ValueError("thresholds must be positive")
-    n = deformed.n_vertices
-    nearest, d2 = nearest_neighbors(target.vertices, 1, deformed.vertices)
-    nearest = nearest[:, 0]
-    dists = np.sqrt(d2[:, 0])
-
-    accept = np.ones(n, dtype=bool)
+    gate = np.inf
     if np.isfinite(max_dist):
         if lbar is None:
             if not len(target.edges):
                 from dataclasses import replace
                 target = replace(target, edges=build_edge_graph(target))
             lbar = mean_edge_length(target)
-        accept &= dists <= max_dist * lbar
+        gate = max_dist * lbar
+    nearest, d2 = nearest_neighbors(target.vertices, 1, deformed.vertices,
+                                    tree, gate)
+    nearest = nearest[:, 0]
+    # a query with no target within the gate has index n and distance inf
+    accept = np.sqrt(d2[:, 0]) <= gate
     if deformed.normals is not None and target.normals is not None:
         cos_thresh = np.cos(np.deg2rad(max_normal_angle))
-        cosang = np.sum(deformed.normals * target.normals[nearest], axis=1)
-        accept &= cosang >= cos_thresh
+        rows = np.flatnonzero(accept)
+        cosang = np.sum(deformed.normals[rows] * target.normals[nearest[rows]],
+                        axis=1)
+        accept[rows] = cosang >= cos_thresh
     mapping = np.where(accept, nearest + 1, 0)
     return CorrespondenceMap(mapping)
 

@@ -114,30 +114,68 @@ def _rank_candidates(points, queries, cand, k, self_rows):
             np.take_along_axis(d2, order, axis=1))
 
 
-def nearest_neighbors(points, k, queries=None):
+def nearest_neighbors(points, k, queries=None, tree=None, bound=np.inf):
     """Indices and squared distances of the k nearest points to each query.
 
     Without ``queries`` every point queries the others, itself excluded.
     Returns (Q, k) arrays sorted by (squared distance, index), identical to
-    an exhaustive search: a kd-tree proposes a few extra candidates per
-    query, their distances are recomputed exactly, and a query whose last
-    candidate ties its k-th neighbor to within rounding (so a tie may lie
-    beyond the candidates) is searched exhaustively, in bounded chunks.
-    """
-    from scipy.spatial import cKDTree
+    an exhaustive search. A kd-tree proposes each query's k neighbors and
+    the next point. Where their distances are apart by more than rounding,
+    the tree's order stands and only the distances are recomputed exactly.
+    Every other query takes a few more candidates from the tree and ranks
+    them by exact distance, and one whose last candidate ties its k-th
+    neighbor to within rounding (so a tie may lie beyond the candidates) is
+    searched exhaustively, in bounded chunks.
 
+    ``tree`` is a ``cKDTree`` over ``points``, built here unless given: a
+    caller searching one point set many times builds it once. A finite
+    ``bound`` stops the search at that distance. Queries whose k-th
+    neighbor lies within it get the exhaustive answer. Any other query may
+    get index n and squared distance inf in every column instead.
+    """
     points = np.asarray(points, dtype=np.float64)
     self_query = queries is None
     queries = points if self_query else np.asarray(queries, dtype=np.float64)
     n, q = len(points), len(queries)
+    if tree is None:
+        from scipy.spatial import cKDTree
+        tree = cKDTree(points)
     self_rows = np.arange(q) if self_query else None
     width = min(n, k + self_query + _TIE_PAD)
-    dist, cand = cKDTree(points).query(queries, width)
-    cand = cand.reshape(q, width)
-    idx, d2 = _rank_candidates(points, queries, cand, k, self_rows)
+    # kd columns of the k neighbors, after the query point in a self-query
+    lead = k + self_query
+    # cKDTree keeps squared distances strictly below its bound's square:
+    # widen the bound past rounding, and keep its square a normal float
+    limit = max(bound * (1 + _TIE_RTOL), np.sqrt(np.finfo(float).tiny))
+    # the kd order stands only where the next distance separates it: ask
+    # every query for that one more, and only the others for the full width
+    head = min(width, lead + 1)
+    dist, cand = tree.query(queries, head, distance_upper_bound=limit)
+    dist, cand = dist.reshape(q, head), cand.reshape(q, head)
+    idx, d2 = np.full((q, k), n), np.full((q, k), np.inf)
+    found = np.isfinite(dist[:, lead - 1])
+    keep = np.zeros(q, dtype=bool)
+    if head > lead:
+        keep = found & np.all(
+            dist[:, 1:] > dist[:, :lead] * (1 + 2 * _TIE_RTOL), axis=1)
+        if self_query:
+            keep &= cand[:, 0] == self_rows
+    rows = np.flatnonzero(keep)
+    nbrs = cand[rows, self_query:lead]
+    idx[rows] = nbrs
+    d2[rows] = np.sum((queries[rows, None, :] - points[nbrs]) ** 2, axis=2)
+    rows = np.flatnonzero(found & ~keep)
+    dist, cand = tree.query(queries[rows], width, distance_upper_bound=limit)
+    dist, cand = dist.reshape(len(rows), width), cand.reshape(len(rows), width)
+    if np.isfinite(bound):
+        # a candidate the bound left out (index n) ranks last, at inf
+        points = np.concatenate([points, np.full((1, 3), np.inf)])
+    idx[rows], d2[rows] = _rank_candidates(
+        points, queries[rows], cand, k,
+        None if self_rows is None else self_rows[rows])
     if width < n:
-        last = dist.reshape(q, width)[:, -1] ** 2
-        rows = np.flatnonzero(last <= d2[:, -1] * (1 + _TIE_RTOL))
+        last = dist[:, -1] ** 2
+        rows = rows[last <= d2[rows, -1] * (1 + _TIE_RTOL)]
         step = max(1, _EXHAUSTIVE_BLOCK // n)
         for s in range(0, len(rows), step):
             r = rows[s:s + step]
@@ -148,26 +186,28 @@ def nearest_neighbors(points, k, queries=None):
     return idx, d2
 
 
-def knn_edges(vertices, k):
+def knn_edges(vertices, k, tree=None):
     """Directed edges (i, j) to the k nearest neighbors of each vertex.
 
-    Exact kd-tree search (see ``nearest_neighbors``); ties broken by lowest
-    index, so output is deterministic. Self-edges excluded.
+    Exact kd-tree search (see ``nearest_neighbors``, which also takes
+    ``tree``); ties broken by lowest index, so output is deterministic.
+    Self-edges excluded.
     """
     v = np.asarray(vertices, dtype=np.float64)
     n = len(v)
     if k < 1 or k >= n:
         raise ValueError(f"k must be in [1, N-1], got k={k} for N={n}")
-    nbrs, _ = nearest_neighbors(v, k)
+    nbrs, _ = nearest_neighbors(v, k, tree=tree)
     src = np.repeat(np.arange(n), k)
     return np.column_stack([src, nbrs.reshape(-1)])
 
 
-def build_edge_graph(shape, k=DEFAULT_KNN):
-    """Edge list for a shape: mesh half-edges when faces exist, else k-NN."""
+def build_edge_graph(shape, k=DEFAULT_KNN, tree=None):
+    """Edge list for a shape: mesh half-edges when faces exist, else k-NN
+    (searched in ``tree``, a ``cKDTree`` over the vertices, if given)."""
     if shape.faces is not None and len(shape.faces):
         return edges_from_faces(shape.faces)
-    return knn_edges(shape.vertices, k)
+    return knn_edges(shape.vertices, k, tree)
 
 
 def unique_undirected(edges):

@@ -8,7 +8,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import correspondence as corrmod
-from .geometry import Shape, build_edge_graph, compute_vertex_normals, mean_edge_length
+from .geometry import (
+    DEFAULT_KNN,
+    Shape,
+    build_edge_graph,
+    compute_vertex_normals,
+    mean_edge_length,
+)
 from .operators import (
     SystemMatrices,
     SystemStructure,
@@ -271,10 +277,14 @@ def register(template, target, landmarks, cfg):
         build_edge_graph(template, cfg.knn_k)
     tmpl = replace(template, vertices=tmpl_v, edges=edges, normals=None)
     targ = _shape_with_optional_normals(targ_v, target.faces)
+    # one search tree over the fixed target serves its kNN graph and every
+    # closest-point refresh
+    from scipy.spatial import cKDTree
+    tree = cKDTree(targ.vertices)
     if not len(targ.edges) and np.isfinite(cfg.max_dist_factor):
         # the refresh's distance gate needs the target's mean edge length;
         # build a faceless target's kNN graph once, not per outer iteration
-        targ = replace(targ, edges=build_edge_graph(targ))
+        targ = replace(targ, edges=build_edge_graph(targ, DEFAULT_KNN, tree))
     # the distance gate's unit, the same at every outer iteration
     lbar = mean_edge_length(targ) if np.isfinite(cfg.max_dist_factor) else None
 
@@ -288,15 +298,15 @@ def register(template, target, landmarks, cfg):
     # the closest-point acquisition phase settles, then start reweighting
     reweight_on = False
     reweights = cfg.variant != "l2" and cfg.reweight
+    deformed_v = X.apply(tmpl_v)
     for outer in range(1, cfg.outer_iters + 1):
         if not reweight_on and log and \
                 log[-1]["mean_displacement"] < cfg.reweight_start_tol:
             reweight_on = True
-        deformed_v = X.apply(tmpl_v)
         # the template's edges: Shape need not derive them again from faces
         deformed = _shape_with_optional_normals(deformed_v, template.faces, edges)
         refreshed = corrmod.closest_point_refresh(
-            deformed, targ, cfg.max_dist_factor, cfg.max_normal_angle, lbar)
+            deformed, targ, cfg.max_dist_factor, cfg.max_normal_angle, lbar, tree)
         corr = corrmod.merge(landmarks, refreshed)
         if corr.n_matched() == 0:
             raise RuntimeError(f"no correspondences at outer iteration {outer}")
@@ -318,8 +328,8 @@ def register(template, target, landmarks, cfg):
             inner = factorizations = state.n_iters
             history = state.residuals
         res = history[-1] if history else (0.0, 0.0)
-        disp = float(np.mean(np.linalg.norm(X_new.apply(tmpl_v) - deformed_v,
-                                            axis=1)))
+        new_v = X_new.apply(tmpl_v)
+        disp = float(np.mean(np.linalg.norm(new_v - deformed_v, axis=1)))
         log.append({
             "outer": outer,
             "inner": inner,
@@ -331,7 +341,7 @@ def register(template, target, landmarks, cfg):
             "factorizations": factorizations,
             "reweighted": reweighted,
         })
-        X = X_new
+        X, deformed_v = X_new, new_v
         if disp < cfg.outer_tol and (reweight_on or not reweights):
             converged = True
             break

@@ -1,5 +1,7 @@
 """Correspondence maps, file I/O, closest-point refresh and merging."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from nrreg import CorrespondenceMap, closest_point_refresh, load_correspondences, merge
 from nrreg.correspondence import save_correspondences
-from nrreg.geometry import Shape
+from nrreg.geometry import Shape, build_edge_graph, mean_edge_length
 
 from conftest import brute_force_closest, random_cloud, tie_rich_clouds
 
@@ -101,6 +103,45 @@ class TestClosestPointRefresh:
         m_lo = closest_point_refresh(Shape(vertices=dv), target, max_dist=lo)
         m_hi = closest_point_refresh(Shape(vertices=dv), target, max_dist=hi)
         assert np.all(m_hi.matched | ~m_lo.matched)
+
+    @given(st.integers(0, 2**31), st.sampled_from([None, 1, 0]),
+           st.sampled_from([0.5, 1.5, 3.0, np.inf]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_tree_same_map(self, seed, decimals, max_dist, normals):
+        # a caller's tree over the target gives the map of a tree built per
+        # call, which is the exhaustive closest point behind both gates
+        from scipy.spatial import cKDTree
+        tv, dv = random_cloud(60, seed), random_cloud(40, seed + 1, scale=1.5)
+        if decimals is not None:
+            tv, dv = np.round(tv, decimals), np.round(dv, decimals)
+        rng = np.random.default_rng(seed)
+        tn, dn = (rng.normal(size=(len(v), 3)) for v in (tv, dv))
+        tn /= np.linalg.norm(tn, axis=1, keepdims=True)
+        dn /= np.linalg.norm(dn, axis=1, keepdims=True)
+        target = Shape(vertices=tv, normals=tn if normals else None)
+        target = replace(target, edges=build_edge_graph(target))
+        deformed = Shape(vertices=dv, normals=dn if normals else None)
+        fresh = closest_point_refresh(deformed, target, max_dist)
+        shared = closest_point_refresh(deformed, target, max_dist, 60.0, None,
+                                       cKDTree(tv))
+        assert np.array_equal(shared.mapping, fresh.mapping)
+        nearest, dist = brute_force_closest(dv, tv)
+        accept = dist <= max_dist * mean_edge_length(target)
+        if normals:
+            accept &= np.sum(dn * tn[nearest], axis=1) >= np.cos(np.deg2rad(60.0))
+        assert np.array_equal(fresh.mapping, np.where(accept, nearest + 1, 0))
+
+    def test_beyond_gate_never_reads_target_normals(self):
+        # the far vertex has no target within the gate, so its search result
+        # is index n (out of range for the normals); the last target normal,
+        # which index -1 would pick, agrees with its own normal
+        tv = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        tn = np.array([[0.0, 0, -1], [0, 0, -1], [0, 0, -1], [0, 0, 1]])
+        target = Shape(vertices=tv, faces=[[0, 1, 2], [1, 3, 2]], normals=tn)
+        deformed = Shape(vertices=[[0.1, 0, 0.1], [50, 50, 50]],
+                         normals=[[0.0, 0, -1], [0, 0, 1]])
+        corr = closest_point_refresh(deformed, target, max_dist=1.0)
+        assert corr.mapping.tolist() == [1, 0]
 
     def test_normal_gate_rejects_opposed_normals(self):
         up = np.tile([0.0, 0.0, 1.0], (4, 1))

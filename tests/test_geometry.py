@@ -54,6 +54,30 @@ OCTAHEDRON = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                        [0, 0, 1], [0, 0, -1]])
 
 
+def oracle_neighbors(points, k, queries=None):
+    """Exhaustive k nearest points to each query (each point, itself
+    excluded, without queries), ties to the lowest index."""
+    if queries is None:
+        return brute_force_knn(points, k)[:, 1].reshape(len(points), k)
+    d2 = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def assert_bounded_result(idx, d2, points, queries, want, bound):
+    """Rows whose k-th oracle neighbor lies within ``bound`` are the oracle's,
+    with its squared distances; every other row ends beyond the bound, and
+    rows clearly beyond it are missing (index n, squared distance inf)."""
+    want_d2 = np.sum((queries[:, None, :] - points[want]) ** 2, axis=2)
+    inside = np.sqrt(want_d2[:, -1]) <= bound
+    assert np.array_equal(idx[inside], want[inside])
+    assert np.array_equal(d2[inside], want_d2[inside])
+    missing = idx == len(points)
+    assert np.array_equal(missing, np.isinf(d2))
+    assert np.array_equal(missing.any(axis=1), missing.all(axis=1))
+    assert np.all(np.sqrt(d2[~inside, -1]) > bound)
+    assert np.all(missing[np.sqrt(want_d2[:, -1]) > bound * (1 + 1e-6)])
+
+
 class TestLoadShape:
     def test_minimal_obj(self, triangle_obj):
         shape = load_shape(triangle_obj)
@@ -424,6 +448,78 @@ class TestNearestNeighbors:
         want_idx, want_dist = brute_force_closest(queries, verts)
         assert np.array_equal(idx[:, 0], want_idx)
         assert np.array_equal(np.sqrt(d2[:, 0]), want_dist)
+
+    @given(st.integers(0, 2**31), st.integers(2, 80), st.integers(1, 6),
+           st.sampled_from([None, 1, 0]), st.floats(0.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_search_in_prebuilt_tree(self, seed, n, k, decimals, bound):
+        # the bound prunes the search without changing any row within it
+        from scipy.spatial import cKDTree
+        points = random_cloud(n, seed)
+        queries = random_cloud(n, seed + 1, scale=1.5)
+        if decimals is not None:
+            points, queries = np.round(points, decimals), np.round(queries, decimals)
+        tree = cKDTree(points)
+        k = min(k, n - 1)
+        idx, d2 = nearest_neighbors(points, k, tree=tree, bound=bound)
+        assert_bounded_result(idx, d2, points, points,
+                              oracle_neighbors(points, k), bound)
+        idx, d2 = nearest_neighbors(points, 1, queries, tree, bound)
+        want = brute_force_closest(queries, points)[0][:, None]
+        assert_bounded_result(idx, d2, points, queries, want, bound)
+        assert np.array_equal(knn_edges(points, k, tree), brute_force_knn(points, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bound", [np.inf, 0.3])
+    def test_self_query_duplicates_skip_query_point(self, k, bound):
+        # every point three times: the tree may list a twin before the query
+        # point, and the twins are each other's nearest neighbors at distance 0
+        from scipy.spatial import cKDTree
+        points = tie_rich_clouds()["duplicates"]
+        idx, d2 = nearest_neighbors(points, k, tree=cKDTree(points), bound=bound)
+        assert_bounded_result(idx, d2, points, points,
+                              oracle_neighbors(points, k), bound)
+        assert not np.any(idx == np.arange(len(points))[:, None])
+
+    @pytest.mark.parametrize("bound", [np.inf, 0.8])
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_every_point_a_candidate(self, bound, decimals):
+        # n = k + 1 for a self-query (and k = n for queries): the search
+        # returns every point, and no further kd distance exists to separate
+        # the k-th neighbor from
+        points = random_cloud(5, seed=9)
+        queries = random_cloud(7, seed=10, scale=1.5)
+        if decimals is not None:
+            points, queries = np.round(points, decimals), np.round(queries, decimals)
+        n = len(points)
+        for k, q in ((n - 1, None), (n, queries), (n - 1, queries)):
+            q_points = points if q is None else q
+            idx, d2 = nearest_neighbors(points, k, q, bound=bound)
+            assert_bounded_result(idx, d2, points, q_points,
+                                  oracle_neighbors(points, k, q), bound)
+        assert np.array_equal(knn_edges(points, n - 1), brute_force_knn(points, n - 1))
+
+    def test_only_ambiguous_rows_reranked(self, monkeypatch):
+        # where the kd distances separate the neighbors, the kd order stands;
+        # on a lattice with exact ties every tied row is ranked again
+        import nrreg.geometry as geometry
+        ranked, rank = [], geometry._rank_candidates
+
+        def counting_rank(points, queries, cand, k, self_rows):
+            ranked.append(len(cand))
+            return rank(points, queries, cand, k, self_rows)
+
+        monkeypatch.setattr(geometry, "_rank_candidates", counting_rank)
+        points = random_cloud(400, seed=12)
+        nearest_neighbors(points, 6)
+        nearest_neighbors(points, 1, random_cloud(300, seed=13, scale=1.5), bound=0.2)
+        assert ranked == [0, 0]
+        # every query but the far corner (5.5, 5.5, 5.5) has at least two
+        # equidistant nearest lattice points
+        grid = tie_rich_clouds()["cubic-grid"]
+        idx, _ = nearest_neighbors(grid, 1, grid + 0.5)
+        assert ranked[2] == len(grid) - 1
+        assert np.array_equal(idx[:, 0], brute_force_closest(grid + 0.5, grid)[0])
 
     def test_memory_stays_linear_at_20k(self):
         # all-pairs distances at this size would take 20000**2 * 24 B = 9.6 GB

@@ -360,6 +360,29 @@ class TestRegister:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("faces", [True, False], ids=["mesh", "cloud"])
+    def test_one_search_tree_per_registration(self, bend_instance, monkeypatch,
+                                              faces):
+        # one kd-tree over the target serves every closest-point refresh and
+        # a faceless target's kNN graph; the template is a mesh, so it needs
+        # no tree
+        import scipy.spatial
+        built = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                built.append(np.array(data))
+                super().__init__(data, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        b = bend_instance
+        target = b["target"] if faces else Shape(vertices=b["target"].vertices)
+        res = register(b["template"], target, b["landmarks"],
+                       replace(b["cfg"], outer_iters=4))
+        assert len(res.log) == 4 and len(built) == 1
+        center, scale = res.normalization
+        assert np.array_equal(built[0], (target.vertices - center) / scale)
+
+    @pytest.mark.parametrize("faces", [True, False], ids=["mesh", "cloud"])
     def test_target_edge_length_once(self, bend_instance, monkeypatch, faces):
         # the distance gate's mean target edge length is computed once per
         # registration, and the results are those of computing it at every
