@@ -26,7 +26,7 @@ from .metrics import (
     mean_distance_error,
     residuals_for_analysis,
 )
-from .operators import TransformStack, assemble_system
+from .operators import SystemStructure, TransformStack, assemble_system
 from .solver import VARIANTS, SolverConfig, register
 from .synthesis import (
     CorruptionSpec,
@@ -269,8 +269,8 @@ def cmd_fit_residuals(args, timings):
                                     target.n_vertices)
         stack = load_transforms(args.transforms, template.n_vertices)
     with _timed(timings, "solve"):
-        edges = np.empty((0, 2), dtype=np.int64)
-        sys_ = assemble_system(template, edges, corr, target.vertices)
+        edgeless = SystemStructure(template.vertices, np.empty((0, 2), np.int64))
+        sys_ = assemble_system(edgeless, corr, target.vertices)
         payload = {}
         for mode in ("per_axis_l1", "euclidean"):
             fit = fit_residual_distributions(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import build_edge_graph, mean_edge_length, nearest_neighbors
+from .geometry import nearest_neighbors
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,21 @@ def save_correspondences(corr, path):
             fh.write(f"{i} {corr.mapping[i] - 1}\n")
 
 
-def closest_point_refresh(deformed, target, max_dist=3.0, max_normal_angle=60.0,
-                          lbar=None, tree=None):
+def closest_point_refresh(deformed, target, gate=np.inf, max_normal_angle=60.0,
+                          tree=None):
     """ICP-style closest-point correspondences with distance and normal gates.
 
-    ``max_dist`` is a multiple of the target mean edge length ``lbar``;
-    matches beyond it are rejected, and the search looks no further. Matches
-    whose normals disagree by more than ``max_normal_angle`` degrees are
-    rejected too (skipped if either shape lacks normals). Exact kd-tree
+    Matches farther than ``gate``, an absolute distance, are rejected, and
+    the search looks no further; a gate of 0 accepts exact hits only.
+    Matches whose normals disagree by more than ``max_normal_angle`` degrees
+    are rejected too (skipped if either shape lacks normals). Exact kd-tree
     search (``geometry.nearest_neighbors``); ties go to the lowest target
-    index. ``lbar`` and ``tree`` (a ``cKDTree`` over the target's vertices)
-    are computed here unless given: a caller refreshing against one target
-    many times passes them in.
+    index. ``tree`` (a ``cKDTree`` over the target's vertices) is built here
+    unless given: a caller refreshing against one target many times passes
+    it in.
     """
-    if target.n_vertices == 0:
-        raise ValueError("target is empty")
-    if max_dist <= 0 or max_normal_angle <= 0:
-        raise ValueError("thresholds must be positive")
-    gate = np.inf
-    if np.isfinite(max_dist):
-        if lbar is None:
-            if not len(target.edges):
-                from dataclasses import replace
-                target = replace(target, edges=build_edge_graph(target))
-            lbar = mean_edge_length(target)
-        gate = max_dist * lbar
+    if not gate >= 0 or max_normal_angle <= 0:
+        raise ValueError("gate must be nonnegative and max_normal_angle positive")
     nearest, d2 = nearest_neighbors(target.vertices, 1, deformed.vertices,
                                     tree, gate)
     nearest = nearest[:, 0]

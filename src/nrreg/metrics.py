@@ -44,7 +44,8 @@ def error_colors(values, clamp_percentile=95.0):
 
 
 def _fd_histogram(values):
-    """Freedman-Diaconis binned counts; falls back to 10 bins for tiny or
+    """Freedman-Diaconis binned counts, at most ceil(sqrt(n)) bins (an IQR
+    of rounding noise asks for billions); falls back to 10 bins for tiny or
     zero-IQR samples."""
     v = np.asarray(values, dtype=np.float64)
     q75, q25 = np.percentile(v, [75, 25])
@@ -52,7 +53,7 @@ def _fd_histogram(values):
     if iqr > 0 and len(v) > 2:
         width = 2 * iqr / np.cbrt(len(v))
         nbins = max(1, int(np.ceil((v.max() - v.min()) / width))) if width > 0 else 10
-        nbins = min(nbins, 10_000)
+        nbins = min(nbins, int(np.ceil(np.sqrt(len(v)))))
     else:
         nbins = 10
     counts, edges = np.histogram(v, bins=nbins)

@@ -334,25 +334,16 @@ def assemble_B(vertices, edges):
     return sp.csr_matrix((vals, (rows, cols)), shape=(ne, 4 * n))
 
 
-def assemble_system(template, edges, corr, target_vertices, w_data=None,
-                    w_smooth=None, structure=None):
-    """Build SystemMatrices for one outer iteration.
-
-    Unmatched vertices get zero target rows and zero data weight regardless of
-    ``w_data``. Default weights are the binary match indicator / all-ones.
-    ``structure`` is ``SystemStructure(template.vertices, edges)``, built here
-    unless the caller reuses one across outer iterations.
+def assemble_system(structure, corr, target_vertices):
+    """Build SystemMatrices for one outer iteration on ``structure``: the
+    matched target positions, binary data weights (1 iff matched) and unit
+    smoothness weights. Unmatched vertices get zero target rows.
     """
-    n = template.n_vertices
-    if structure is None:
-        structure = SystemStructure(template.vertices, edges)
-    U_f = np.zeros((n, 3))
+    U_f = np.zeros((structure.n, 3))
     m = corr.matched
     U_f[m] = np.asarray(target_vertices)[corr.target_indices[m]]
-    wd = corr.weights if w_data is None else np.asarray(w_data, dtype=np.float64) * m
-    ws = (np.ones(len(edges)) if w_smooth is None
-          else np.asarray(w_smooth, dtype=np.float64))
-    return SystemMatrices(structure=structure, U_f=U_f, w_data=wd, w_smooth=ws)
+    return SystemMatrices(structure=structure, U_f=U_f, w_data=corr.weights,
+                          w_smooth=np.ones(len(structure.edges)))
 
 
 def shrink(x, tau):

@@ -3,6 +3,7 @@ the reweighted outer loop, and the comparison baselines."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -70,6 +71,13 @@ class SolverConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # the default's type is the field's: an int passes for a float,
+            # and a bool only for a bool
+            kind = type(f.default)
+            accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+            if not isinstance(value, accepted) or \
+                    isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and np.isnan(value):
                 raise ValueError(f"{f.name} must not be NaN")
         if self.rho1 <= 1 or self.rho2 <= 1:
@@ -182,17 +190,17 @@ def admm_solve(sys, X_init, cfg):
     return X, state
 
 
-def update_weights(X_prev, corr, sys, eps_data, eps_smooth):
+def update_weights(X_prev, sys, eps_data, eps_smooth):
     """Inverse-residual diagonal weights.
 
-    Data weight i is 1 / (l1 residual of vertex i + eps) for matched vertices
-    and 0 otherwise; smoothness weight for edge (i, j) is
+    Data weight i is 1 / (l1 residual of vertex i + eps) where vertex i is
+    matched (``sys.w_data`` > 0), else 0; smoothness weight for edge (i, j) is
     1 / (l1 of X_i v_i - X_j v_i + eps). Residuals use the previous outer
     iteration's transforms (identity on the first iteration).
     """
     pos = sys.V @ X_prev.stacked
     data_res = np.abs(pos - sys.U_f).sum(axis=1)
-    w_data = np.where(corr.matched, 1.0 / (data_res + eps_data), 0.0)
+    w_data = np.where(sys.w_data > 0, 1.0 / (data_res + eps_data), 0.0)
     edge_res = np.abs(sys.B @ X_prev.stacked).sum(axis=1)
     w_smooth = 1.0 / (edge_res + eps_smooth)
     return w_data, w_smooth
@@ -223,7 +231,6 @@ class RegistrationResult:
     deformed: Shape
     log: list                       # one dict per outer iteration
     converged: bool
-    landmarks: corrmod.CorrespondenceMap | None = None
     final_system: SystemMatrices | None = None   # normalized frame
     final_state: AdmmState | None = None         # None for the l2 variant
     normalization: tuple = (None, 1.0)           # (center, scale)
@@ -275,22 +282,22 @@ def register(template, target, landmarks, cfg):
     targ_v = (target.vertices - center) / scale
     edges = template.edges if len(template.edges) else \
         build_edge_graph(template, cfg.knn_k)
-    tmpl = replace(template, vertices=tmpl_v, edges=edges, normals=None)
     targ = _shape_with_optional_normals(targ_v, target.faces)
     # one search tree over the fixed target serves its kNN graph and every
     # closest-point refresh
     from scipy.spatial import cKDTree
     tree = cKDTree(targ.vertices)
-    if not len(targ.edges) and np.isfinite(cfg.max_dist_factor):
-        # the refresh's distance gate needs the target's mean edge length;
-        # build a faceless target's kNN graph once, not per outer iteration
-        targ = replace(targ, edges=build_edge_graph(targ, DEFAULT_KNN, tree))
-    # the distance gate's unit, the same at every outer iteration
-    lbar = mean_edge_length(targ) if np.isfinite(cfg.max_dist_factor) else None
+    gate = np.inf
+    if np.isfinite(cfg.max_dist_factor):
+        # the gate is a multiple of the target's mean edge length; a faceless
+        # target's kNN graph is built for it once, not per outer iteration
+        if not len(targ.edges):
+            targ = replace(targ, edges=build_edge_graph(targ, DEFAULT_KNN, tree))
+        gate = cfg.max_dist_factor * mean_edge_length(targ)
 
-    structure = SystemStructure(tmpl.vertices, edges)
+    structure = SystemStructure(tmpl_v, edges)
     held = state = None             # l2: (mask, Factorization) of the last solve
-    X = TransformStack.identity(tmpl.n_vertices)
+    X = TransformStack.identity(template.n_vertices)
     log = []
     converged = False
     # inverse-residual weights approximate an l0 penalty, which exerts no
@@ -306,15 +313,14 @@ def register(template, target, landmarks, cfg):
         # the template's edges: Shape need not derive them again from faces
         deformed = _shape_with_optional_normals(deformed_v, template.faces, edges)
         refreshed = corrmod.closest_point_refresh(
-            deformed, targ, cfg.max_dist_factor, cfg.max_normal_angle, lbar, tree)
+            deformed, targ, gate, cfg.max_normal_angle, tree)
         corr = corrmod.merge(landmarks, refreshed)
         if corr.n_matched() == 0:
             raise RuntimeError(f"no correspondences at outer iteration {outer}")
-        sys = assemble_system(tmpl, edges, corr, targ.vertices,
-                              structure=structure)
+        sys = assemble_system(structure, corr, targ.vertices)
         reweighted = reweights and reweight_on
         if reweighted:
-            wd, ws = update_weights(X, corr, sys, cfg.eps_data, cfg.eps_smooth)
+            wd, ws = update_weights(X, sys, cfg.eps_data, cfg.eps_smooth)
             sys = replace(sys, w_data=wd, w_smooth=ws)
         if cfg.variant == "l2":
             X_new, returned = solve_l2_baseline(sys, cfg.alpha, held)
@@ -350,6 +356,6 @@ def register(template, target, landmarks, cfg):
     deformed_shape = Shape(vertices=X_out.apply(template.vertices),
                            faces=template.faces, edges=template.edges)
     return RegistrationResult(transforms=X_out, deformed=deformed_shape,
-                              log=log, converged=converged, landmarks=landmarks,
+                              log=log, converged=converged,
                               final_system=sys, final_state=state,
                               normalization=(center, scale))

@@ -36,18 +36,20 @@ class CorruptionSpec:
 
 def perturb_noise(target, sigma, seed=0):
     """Displace every vertex along its normal by g * sigma * l_bar with
-    g ~ N(0, 1) from the seeded generator. Faces are unchanged."""
+    g ~ N(0, 1) from the seeded generator. Faces are unchanged; the result
+    has no normals, since the target's no longer fit the moved surface."""
     shape = with_normals(target)
     lbar = mean_edge_length(shape)
     g = rng_from_seed(seed).standard_normal(shape.n_vertices)
     moved = shape.vertices + (g * sigma * lbar)[:, None] * shape.normals
-    return replace(shape, vertices=moved)
+    return replace(shape, vertices=moved, normals=None)
 
 
 def perturb_outliers(target, fraction, magnitude_sigma=3.0, seed=0):
     """Displace a uniform floor(fraction * M) subset of vertices along their
     normals; with fraction = 1 this matches perturb_noise for the same seed.
-    Returns (shape, sorted outlier indices)."""
+    Returns (shape, sorted outlier indices); as with perturb_noise, the
+    shape has no normals."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
     shape = with_normals(target)
@@ -59,7 +61,7 @@ def perturb_outliers(target, fraction, magnitude_sigma=3.0, seed=0):
     idx = np.sort(rng.permutation(m)[:count])
     moved = shape.vertices.copy()
     moved[idx] += (g[idx] * magnitude_sigma * lbar)[:, None] * shape.normals[idx]
-    return replace(shape, vertices=moved), idx
+    return replace(shape, vertices=moved, normals=None), idx
 
 
 def apply_corruption(target, spec):
@@ -118,7 +120,7 @@ def _rigid_block(rot, axis_point, translation=(0.0, 0.0, 0.0)):
     return block
 
 
-def synth_deformation(template, spec, seed=0):
+def synth_deformation(template, spec):
     """Apply a piecewise-rigid deformation with known per-vertex transforms.
 
     Returns (target shape, ground-truth positions (N, 3), TransformStack).

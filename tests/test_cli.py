@@ -162,6 +162,25 @@ class TestRegisterCommand:
         assert code == 1
         assert f"invalid configuration: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"outer_iters": 2.5}, {"inner_iters": 3.0}, {"reweight": "no"},
+        {"outer_iters": True}])
+    def test_wrong_type_config_exit_one_before_solve(
+            self, instance, tmp_path, capsys, monkeypatch, config):
+        import nrreg.cli
+        monkeypatch.setattr(nrreg.cli, "register",
+                            lambda *args: pytest.fail("registration ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = run("register", "--template", str(instance / "template.ply"),
+                   "--target", str(instance / "target.ply"),
+                   "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        (field,) = config
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: invalid configuration: {field} must be")
+
     def test_unknown_config_key_rejected(self, instance, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alphas": 2.0}))

@@ -53,7 +53,7 @@ class TestClosestPointRefresh:
     def test_identical_shapes_self_match(self):
         verts = random_cloud(30, seed=4)
         shape = Shape(vertices=verts)
-        corr = closest_point_refresh(shape, shape, max_dist=np.inf)
+        corr = closest_point_refresh(shape, shape)
         assert np.array_equal(corr.target_indices, np.arange(30))
 
     def test_tie_break_lowest_target_index(self):
@@ -61,14 +61,13 @@ class TestClosestPointRefresh:
         tv = np.zeros((8, 3))
         tv[:, 0] = [9, 9, 9, 1, 9, 9, 9, -1]   # indices 3 and 7 equidistant
         target = Shape(vertices=tv)
-        corr = closest_point_refresh(template, target, max_dist=np.inf)
+        corr = closest_point_refresh(template, target)
         assert corr.target_indices[0] == 3
 
     def test_against_brute_force_oracle(self):
         dv = random_cloud(40, seed=11)
         tv = random_cloud(60, seed=12)
-        corr = closest_point_refresh(Shape(vertices=dv), Shape(vertices=tv),
-                                     max_dist=np.inf)
+        corr = closest_point_refresh(Shape(vertices=dv), Shape(vertices=tv))
         d2 = np.sum((dv[:, None] - tv[None, :]) ** 2, axis=2)
         assert np.array_equal(corr.target_indices, np.argmin(d2, axis=1))
 
@@ -76,32 +75,39 @@ class TestClosestPointRefresh:
     def test_tie_rich_matches_brute_force_oracle(self, name):
         tv = tie_rich_clouds()[name]
         for dv in (tv, tv + 0.5, tv[::-1] + 0.25):
-            corr = closest_point_refresh(Shape(vertices=dv), Shape(vertices=tv),
-                                         max_dist=np.inf)
+            corr = closest_point_refresh(Shape(vertices=dv), Shape(vertices=tv))
             assert np.array_equal(corr.target_indices, brute_force_closest(dv, tv)[0])
 
     def test_empty_thresholds_validation(self):
         shape = Shape(vertices=random_cloud(3, seed=0))
-        with pytest.raises(ValueError):
-            closest_point_refresh(shape, shape, max_dist=0.0)
+        for gate, angle in ((-1.0, 60.0), (np.nan, 60.0), (np.inf, 0.0)):
+            with pytest.raises(ValueError):
+                closest_point_refresh(shape, shape, gate, angle)
+
+    def test_zero_gate_accepts_exact_hits_only(self):
+        tv = random_cloud(6, seed=3)
+        dv = tv.copy()
+        dv[::2] += 1e-9
+        corr = closest_point_refresh(Shape(vertices=dv), Shape(vertices=tv), 0.0)
+        assert corr.mapping.tolist() == [0, 2, 0, 4, 0, 6]
 
     def test_all_matched_with_infinite_gates(self):
         dv = random_cloud(25, seed=1)
         tv = random_cloud(25, seed=2)
         corr = closest_point_refresh(Shape(vertices=dv), Shape(vertices=tv),
-                                     max_dist=np.inf, max_normal_angle=180.0)
+                                     max_normal_angle=180.0)
         assert corr.n_matched() == 25
 
     @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_distance_gate_monotone(self, a, b):
-        # shrinking max_dist never converts an unmatched vertex to matched
+        # shrinking the gate never converts an unmatched vertex to matched
         dv = random_cloud(20, seed=21, scale=2.0)
         tv = random_cloud(20, seed=22)
-        target = Shape(vertices=tv, edges=np.array([[0, 1], [1, 2]]))
+        target = Shape(vertices=tv)
         lo, hi = sorted([a, b])
-        m_lo = closest_point_refresh(Shape(vertices=dv), target, max_dist=lo)
-        m_hi = closest_point_refresh(Shape(vertices=dv), target, max_dist=hi)
+        m_lo = closest_point_refresh(Shape(vertices=dv), target, gate=lo)
+        m_hi = closest_point_refresh(Shape(vertices=dv), target, gate=hi)
         assert np.all(m_hi.matched | ~m_lo.matched)
 
     @given(st.integers(0, 2**31), st.sampled_from([None, 1, 0]),
@@ -119,14 +125,14 @@ class TestClosestPointRefresh:
         tn /= np.linalg.norm(tn, axis=1, keepdims=True)
         dn /= np.linalg.norm(dn, axis=1, keepdims=True)
         target = Shape(vertices=tv, normals=tn if normals else None)
-        target = replace(target, edges=build_edge_graph(target))
+        gate = max_dist * mean_edge_length(replace(target,
+                                                   edges=build_edge_graph(target)))
         deformed = Shape(vertices=dv, normals=dn if normals else None)
-        fresh = closest_point_refresh(deformed, target, max_dist)
-        shared = closest_point_refresh(deformed, target, max_dist, 60.0, None,
-                                       cKDTree(tv))
+        fresh = closest_point_refresh(deformed, target, gate)
+        shared = closest_point_refresh(deformed, target, gate, 60.0, cKDTree(tv))
         assert np.array_equal(shared.mapping, fresh.mapping)
         nearest, dist = brute_force_closest(dv, tv)
-        accept = dist <= max_dist * mean_edge_length(target)
+        accept = dist <= gate
         if normals:
             accept &= np.sum(dn * tn[nearest], axis=1) >= np.cos(np.deg2rad(60.0))
         assert np.array_equal(fresh.mapping, np.where(accept, nearest + 1, 0))
@@ -140,7 +146,7 @@ class TestClosestPointRefresh:
         target = Shape(vertices=tv, faces=[[0, 1, 2], [1, 3, 2]], normals=tn)
         deformed = Shape(vertices=[[0.1, 0, 0.1], [50, 50, 50]],
                          normals=[[0.0, 0, -1], [0, 0, 1]])
-        corr = closest_point_refresh(deformed, target, max_dist=1.0)
+        corr = closest_point_refresh(deformed, target, gate=1.0)
         assert corr.mapping.tolist() == [1, 0]
 
     def test_normal_gate_rejects_opposed_normals(self):
@@ -149,8 +155,7 @@ class TestClosestPointRefresh:
         verts = random_cloud(4, seed=3)
         src = Shape(vertices=verts, normals=up)
         tgt = Shape(vertices=verts, normals=down)
-        corr = closest_point_refresh(src, tgt, max_dist=np.inf,
-                                     max_normal_angle=60.0)
+        corr = closest_point_refresh(src, tgt, max_normal_angle=60.0)
         assert corr.n_matched() == 0
 
 

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from nrreg import (
     CorrespondenceMap,
+    SystemStructure,
     TransformStack,
     assemble_system,
     fit_residual_distributions,
     fitting_error,
+    register,
     residuals_for_analysis,
 )
 from nrreg.geometry import Shape, knn_edges
-from nrreg.metrics import error_colors, mean_distance_error
+from nrreg.metrics import _fd_histogram, error_colors, mean_distance_error
 
 from conftest import random_cloud
 
@@ -81,6 +83,25 @@ class TestFittingError:
         assert np.array_equal(report.colored_mesh.faces, faces)
         assert report.colored_mesh.colors.shape == (9, 3)
 
+    def test_histogram_bins_capped_at_sqrt_n(self, bend_instance):
+        # a converged registration's squared errors have an IQR of rounding
+        # noise, for which Freedman-Diaconis asks for billions of bins
+        b = bend_instance
+        res = register(b["template"], b["target"], b["landmarks"], b["cfg"])
+        assert res.converged
+        n = b["template"].n_vertices
+        edges, counts = fitting_error(res.transforms, b["template"], b["gt"]).histogram
+        assert len(counts) <= np.ceil(np.sqrt(n)) and counts.sum() == n
+        assert len(edges) == len(counts) + 1
+
+    def test_histogram_gaussian_sample_keeps_fd_count(self):
+        v = np.random.default_rng(3).standard_normal(2000)
+        q75, q25 = np.percentile(v, [75, 25])
+        fd = int(np.ceil((v.max() - v.min()) / (2 * (q75 - q25) / np.cbrt(len(v)))))
+        _, counts = _fd_histogram(v)
+        assert len(counts) == fd < np.sqrt(len(v))
+        assert counts.sum() == len(v)
+
     def test_error_colors_ramp(self):
         colors = error_colors(np.array([0.0, 1.0]))
         assert tuple(colors[0]) == (0, 0, 255)    # low error: blue
@@ -127,8 +148,7 @@ class TestResidualsForAnalysis:
     def make_system(self, verts, target, mapping):
         edges = knn_edges(verts, 2)
         corr = CorrespondenceMap(np.asarray(mapping))
-        return assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, target)
+        return assemble_system(SystemStructure(verts, edges), corr, target)
 
     def test_exact_alignment_zero_samples(self):
         verts = random_cloud(8, seed=14)

@@ -28,7 +28,7 @@ from nrreg import (
     shrink,
     solve_X,
 )
-from nrreg.geometry import Shape, knn_edges
+from nrreg.geometry import knn_edges
 from nrreg.operators import (
     _POLAR_COND,
     SystemStructure,
@@ -109,8 +109,7 @@ def small_system(n=20, seed=0, match_fraction=0.8):
         mapping[0] = 1
     corr = CorrespondenceMap(mapping)
     target = random_cloud(n, seed=seed + 1)
-    template = Shape(vertices=verts, edges=edges)
-    sys_ = assemble_system(template, edges, corr, target)
+    sys_ = assemble_system(SystemStructure(verts, edges), corr, target)
     w_d = np.where(corr.matched, rng.uniform(0.5, 2.0, n), 0.0)
     w_s = rng.uniform(0.5, 2.0, len(edges))
     from dataclasses import replace
@@ -443,10 +442,9 @@ class TestProjectRotations:
 
 class TestFactorizeAndSolve:
     def test_single_matched_vertex_no_edges_singular(self):
-        template = Shape(vertices=np.array([[1.0, 2.0, 3.0]]))
+        structure = SystemStructure([[1.0, 2.0, 3.0]], np.empty((0, 2), np.int64))
         corr = CorrespondenceMap(np.array([1]))
-        sys_ = assemble_system(template, np.empty((0, 2), np.int64), corr,
-                               np.array([[4.0, 5.0, 6.0]]))
+        sys_ = assemble_system(structure, corr, np.array([[4.0, 5.0, 6.0]]))
         with pytest.raises(SingularSystemError) as exc:
             factorize_system(1.0, 1.0, 0.0, sys_)
         assert 0 in exc.value.vertex_blocks
@@ -454,10 +452,9 @@ class TestFactorizeAndSolve:
     def test_single_vertex_with_rotation_penalty_positive_definite(self):
         # the homogeneous 1 couples the translation row, so v v^T + the
         # linear-part selector is full rank (dense eigenvalue oracle)
-        template = Shape(vertices=np.array([[1.0, 2.0, 3.0]]))
+        structure = SystemStructure([[1.0, 2.0, 3.0]], np.empty((0, 2), np.int64))
         corr = CorrespondenceMap(np.array([1]))
-        sys_ = assemble_system(template, np.empty((0, 2), np.int64), corr,
-                               np.array([[4.0, 5.0, 6.0]]))
+        sys_ = assemble_system(structure, corr, np.array([[4.0, 5.0, 6.0]]))
         a = sparse_product_system_matrix(1.0, 1.0, 1.0, sys_).toarray()
         assert np.linalg.eigvalsh(a).min() > 1e-6
         handle = factorize_system(1.0, 1.0, 1.0, sys_)
@@ -469,8 +466,7 @@ class TestFactorizeAndSolve:
         verts = random_cloud(5, seed=6)
         edges = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]])
         corr = CorrespondenceMap(np.array([1, 2, 3, 0, 0]))   # 3, 4 isolated
-        template = Shape(vertices=verts, edges=edges)
-        sys_ = assemble_system(template, edges, corr, verts)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, verts)
         with pytest.raises(SingularSystemError) as exc:
             factorize_system(1.0, 1.0, 0.0, sys_)
         assert {3, 4} <= set(exc.value.vertex_blocks)
@@ -482,7 +478,7 @@ class TestFactorizeAndSolve:
         verts = random_cloud(5, seed=6)
         edges = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]])
         corr = CorrespondenceMap(np.array([1, 2, 3, 0, 0]))
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges, corr, verts)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, verts)
         with pytest.raises(SingularSystemError) as exc:
             factorize_system(1.0, 1.0, 0.2, sys_)
         assert str(exc.value) == ("singular system: Factor is exactly singular; "
@@ -587,8 +583,7 @@ class TestSystemInvariants:
         verts = random_cloud(6, seed=9)
         edges = knn_edges(verts, 2)
         corr = CorrespondenceMap(np.array([1, 0, 3, 0, 5, 0]))
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, verts)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, verts)
         assert np.all(sys_.w_data[~corr.matched] == 0)
         assert np.all(sys_.U_f[~corr.matched] == 0)
 
@@ -647,8 +642,9 @@ def weighted_systems(draw):
     w_smooth = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 100.0)),
                              min_size=len(edges), max_size=len(edges)))
     corr = CorrespondenceMap(np.where(matched, np.arange(1, n + 1), 0))
-    sys_ = assemble_system(Shape(vertices=verts), edges, corr, verts,
-                           w_data, w_smooth)
+    sys_ = replace(assemble_system(SystemStructure(verts, edges), corr, verts),
+                   w_data=np.asarray(w_data) * corr.matched,
+                   w_smooth=np.asarray(w_smooth, dtype=np.float64))
     mu1, mu2 = draw(st.floats(0.1, 1e3)), draw(st.floats(0.1, 1e3))
     beta = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
     return sys_, verts, edges, mu1, mu2, beta
@@ -694,9 +690,11 @@ class TestFixedPatternSystemMatrix:
         n = template.n_vertices
         corr = CorrespondenceMap(np.where(rng.random(n) < 0.8,
                                           np.arange(1, n + 1), 0))
-        sys_ = assemble_system(template, template.edges, corr,
-                               template.vertices, rng.random(n) + 0.01,
-                               rng.random(len(template.edges)) + 0.01)
+        sys_ = replace(assemble_system(SystemStructure(template.vertices,
+                                                       template.edges),
+                                       corr, template.vertices),
+                       w_data=(rng.random(n) + 0.01) * corr.matched,
+                       w_smooth=rng.random(len(template.edges)) + 0.01)
         x0 = rng.standard_normal((4 * n, 3))
         for mu1, mu2, beta in [(1.0, 1.0, 0.0), (3.5, 0.7, 0.2),
                                (2.0 ** 17, 2.0 ** 17, 0.2)]:
@@ -873,8 +871,7 @@ class TestBlockOrdering:
         knn = knn_edges(verts[3:], 4) + 3
         edges = np.unique(np.concatenate([knn, knn[:, ::-1]]), axis=0)
         corr = CorrespondenceMap(np.r_[0, 0, 0, np.arange(4, 13)])
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, verts)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, verts)
         position = np.argsort(sys_.structure.order)
         assert np.all(position[:3] >= 9)
         with pytest.raises(SingularSystemError) as exc:
@@ -891,9 +888,11 @@ class TestBlockOrdering:
         rng = np.random.default_rng(22)
         corr = CorrespondenceMap(np.where(rng.random(n) < 0.8,
                                           np.arange(1, n + 1), 0))
-        sys_ = assemble_system(template, template.edges, corr,
-                               template.vertices, rng.random(n) + 0.01,
-                               rng.random(len(template.edges)) + 0.01)
+        sys_ = replace(assemble_system(SystemStructure(template.vertices,
+                                                       template.edges),
+                                       corr, template.vertices),
+                       w_data=(rng.random(n) + 0.01) * corr.matched,
+                       w_smooth=rng.random(len(template.edges)) + 0.01)
         for mu1, mu2, beta in [(1.0, 1.0, 0.2), (2.0 ** 10, 2.0 ** 10, 0.2)]:
             band = factorize_system(mu1, mu2, beta, sys_)._band
             assert band.shape == (sys_.structure.bandwidth + 1, n)
@@ -909,7 +908,7 @@ class TestBlockOrdering:
         verts = random_cloud(12, seed=23)
         verts[:, 2] = 0.0
         edges = knn_edges(verts, 4)
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
+        sys_ = assemble_system(SystemStructure(verts, edges),
                                CorrespondenceMap(np.arange(1, 13)), verts)
         st_ = sys_.structure
         n_blocks = 2 * len(st_.pp_band) - 12    # 12 diagonals, 2 per vertex pair
@@ -944,8 +943,10 @@ def weighted_mesh_system(nx, ny):
     n = template.n_vertices
     rng = np.random.default_rng(3)
     corr = CorrespondenceMap(np.where(rng.random(n) < 0.8, np.arange(1, n + 1), 0))
-    return assemble_system(template, template.edges, corr, template.vertices,
-                           rng.random(n) + 0.01, rng.random(len(template.edges)) + 0.01)
+    sys_ = assemble_system(SystemStructure(template.vertices, template.edges),
+                           corr, template.vertices)
+    return replace(sys_, w_data=(rng.random(n) + 0.01) * corr.matched,
+                   w_smooth=rng.random(len(template.edges)) + 0.01)
 
 
 class TestCondensedSolve:
@@ -1023,7 +1024,7 @@ class TestCondensedSolve:
         strip = make_strip(nx, 8, 0.1, relief=0.5)
         v = strip.vertices
         v = (v - (v.max(0) + v.min(0)) / 2) / np.linalg.norm(v.max(0) - v.min(0))
-        sys_ = assemble_system(Shape(vertices=v, faces=strip.faces), strip.edges,
+        sys_ = assemble_system(SystemStructure(v, strip.edges),
                                landmark_subset(len(v), 0.2, seed=1), v)
         handle = factorize_system(1.0, 1.0, 0.0, sys_)
         assert handle.pivot_ratio >= 1e-8 > block_order_factorization(

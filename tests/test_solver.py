@@ -10,6 +10,7 @@ from nrreg import (
     CorrespondenceMap,
     SingularSystemError,
     SolverConfig,
+    SystemStructure,
     TransformStack,
     admm_solve,
     assemble_system,
@@ -45,8 +46,7 @@ def aligned_system(n=24, seed=0):
     verts = random_cloud(n, seed=seed)
     edges = symmetric_knn(verts, 4)
     corr = CorrespondenceMap(np.arange(1, n + 1))
-    template = Shape(vertices=verts, edges=edges)
-    return assemble_system(template, edges, corr, verts), corr
+    return assemble_system(SystemStructure(verts, edges), corr, verts), corr
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,11 @@ def bend_run(bend_instance):
 class TestSolverConfig:
     def test_defaults_valid(self):
         SolverConfig().validate()
+
+    def test_ints_for_floats_valid(self):
+        # a JSON config writes 1 for 1.0
+        SolverConfig(alpha=1, beta=0, eps_data=1, max_dist_factor=3,
+                     outer_iters=np.int64(5)).validate()
 
     def test_zero_tolerances_and_no_gate_valid(self):
         SolverConfig(inner_tol=0.0, outer_tol=0.0, reweight_start_tol=0.0,
@@ -74,6 +79,10 @@ class TestSolverConfig:
         {"inner_tol": -1e-9}, {"outer_tol": -1.0}, {"reweight_start_tol": -1.0},
         {"max_dist_factor": 0.0}, {"max_dist_factor": -1.0},
         {"max_normal_angle": 0.0}, {"knn_k": 0},
+        # values of the wrong type
+        {"outer_iters": 2.5}, {"inner_iters": 3.0}, {"outer_iters": True},
+        {"knn_k": "6"}, {"reweight": "no"}, {"reweight": 1}, {"alpha": True},
+        {"beta": "0.1"}, {"max_dist_factor": None},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -93,8 +102,7 @@ class TestEvaluateEnergy:
         edges = np.array([[0, 1], [1, 0]])
         corr = CorrespondenceMap(np.array([1, 0]))
         target = verts + np.array([1.0, 0, 0])
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, target)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, target)
         e = evaluate_energy(TransformStack.identity(2), sys_, None, 1.0, 0.0)
         assert e["data"] == pytest.approx(1.0, abs=1e-12)
 
@@ -106,8 +114,7 @@ class TestEvaluateEnergy:
         edges = knn_edges(verts, 3)
         corr = CorrespondenceMap(rng.integers(0, n + 1, n))
         target = random_cloud(n, seed=7)
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, target)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, target)
         sys_ = replace(sys_, w_data=sys_.w_data * rng.uniform(0.5, 2, n),
                        w_smooth=rng.uniform(0.5, 2, len(edges)))
         x = TransformStack(rng.standard_normal((n, 3, 4)))
@@ -145,8 +152,7 @@ class TestAdmmSolve:
         edges = np.array([[0, 1], [1, 0]])
         corr = CorrespondenceMap(np.array([1, 0]))
         target = np.array([[0.3, -0.2, 0.5], [0, 0, 0]])
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, target)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, target)
         cfg = SolverConfig(alpha=0.01, beta=0.1, inner_iters=30)
         x, state = admm_solve(sys_, TransformStack.identity(2), cfg)
         moved = x.apply(verts)
@@ -169,7 +175,7 @@ class TestAdmmSolve:
         n = 12
         verts = random_cloud(n, seed=14)
         edges = np.zeros((0, 2), dtype=np.int64)
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
+        sys_ = assemble_system(SystemStructure(verts, edges),
                                CorrespondenceMap(np.arange(1, n + 1)),
                                random_cloud(n, seed=15))
         assert sys_.n_edges == 0
@@ -246,9 +252,8 @@ class TestUpdateWeights:
         corr = CorrespondenceMap(np.array([1, 2, 0]))
         target = verts.copy()
         target[1, 0] += 0.09   # l1 residual 0.09 at vertex 1
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, target)
-        wd, ws = update_weights(TransformStack.identity(3), corr, sys_,
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, target)
+        wd, ws = update_weights(TransformStack.identity(3), sys_,
                                 eps_data=0.01, eps_smooth=0.01)
         assert wd[0] == pytest.approx(100.0)   # zero residual
         assert wd[1] == pytest.approx(10.0)    # 1/(0.09 + 0.01)
@@ -340,7 +345,6 @@ class TestRegister:
         assert e_dup == pytest.approx(e_clean, rel=0.01)
 
     def test_faceless_target_graph_built_once(self, bend_instance, monkeypatch):
-        import nrreg.correspondence
         import nrreg.solver
         calls = []
 
@@ -348,8 +352,7 @@ class TestRegister:
             calls.append(shape.n_vertices)
             return build_edge_graph(shape, *args)
 
-        for module in (nrreg.solver, nrreg.correspondence):
-            monkeypatch.setattr(module, "build_edge_graph", counting)
+        monkeypatch.setattr(nrreg.solver, "build_edge_graph", counting)
         b = bend_instance
         res = register(Shape(vertices=b["template"].vertices),
                        Shape(vertices=b["target"].vertices), b["landmarks"],
@@ -385,9 +388,7 @@ class TestRegister:
     @pytest.mark.parametrize("faces", [True, False], ids=["mesh", "cloud"])
     def test_target_edge_length_once(self, bend_instance, monkeypatch, faces):
         # the distance gate's mean target edge length is computed once per
-        # registration, and the results are those of computing it at every
-        # closest-point refresh
-        import nrreg.correspondence
+        # registration
         import nrreg.geometry
         import nrreg.solver
         b = bend_instance
@@ -399,18 +400,9 @@ class TestRegister:
             calls.append(shape.n_vertices)
             return nrreg.geometry.mean_edge_length(shape)
 
-        for module in (nrreg.solver, nrreg.correspondence):
-            monkeypatch.setattr(module, "mean_edge_length", counting)
+        monkeypatch.setattr(nrreg.solver, "mean_edge_length", counting)
         once = register(b["template"], target, b["landmarks"], cfg)
         assert len(once.log) == 4 and calls == [target.n_vertices]
-        refresh = nrreg.correspondence.closest_point_refresh
-        monkeypatch.setattr(nrreg.solver.corrmod, "closest_point_refresh",
-                            lambda *args: refresh(*args[:4]))
-        every = register(b["template"], target, b["landmarks"], cfg)
-        assert len(calls) == 1 + 1 + len(every.log)
-        assert once.transforms.blocks.tobytes() == every.transforms.blocks.tobytes()
-        assert json.dumps(once.log, sort_keys=True) == \
-            json.dumps(every.log, sort_keys=True)
 
     @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
     def test_penalty_basis_built_once_per_weights(self, bend_instance,
@@ -604,8 +596,7 @@ class TestL2Baseline:
         edges = symmetric_knn(verts, 3)
         corr = CorrespondenceMap(np.arange(1, n + 1))
         target = verts @ np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1.0]]).T + 0.3
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, target)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, target)
         x, _ = solve_l2_baseline(sys_, alpha=1e8)
         spread = np.abs(x.blocks - x.blocks.mean(axis=0)).max()
         assert spread < 1e-4
@@ -618,8 +609,7 @@ class TestL2Baseline:
         corr = CorrespondenceMap(np.where(rng.random(n) < 0.7,
                                           np.arange(1, n + 1), 0))
         target = random_cloud(n, seed=11)
-        sys_ = assemble_system(Shape(vertices=verts, edges=edges), edges,
-                               corr, target)
+        sys_ = assemble_system(SystemStructure(verts, edges), corr, target)
         alpha = 0.7
         x, _ = solve_l2_baseline(sys_, alpha)
         w = (sys_.w_data > 0).astype(float)

@@ -82,6 +82,17 @@ class TestPerturbOutliers:
         with pytest.raises(ValueError):
             perturb_outliers(strip, 1.5, 3.0)
 
+    def test_results_carry_no_stale_normals(self):
+        # the input's normals do not fit the moved surface; a corruption
+        # applied to a corrupted shape moves along the moved surface's normals
+        strip = make_strip(10, 4, 0.1, relief=0.5)
+        noisy = perturb_noise(strip, 0.5, seed=1)
+        out, idx = perturb_outliers(noisy, 0.2, 3.0, seed=2)
+        assert noisy.normals is None and out.normals is None
+        delta = out.vertices[idx] - noisy.vertices[idx]
+        cross = np.cross(delta, with_normals(noisy).normals[idx])
+        assert len(idx) and np.abs(cross).max() < 1e-9
+
     def test_apply_corruption_dispatch(self, strip):
         spec = CorruptionSpec(kind="outliers", sigma=2.0, outlier_fraction=0.1,
                               rng_seed=7)
