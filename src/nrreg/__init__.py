@@ -33,7 +33,6 @@ from .operators import (
     assemble_system,
     block_shrink,
     factorize_system,
-    procrustes_project,
     shrink,
     solve_X,
 )

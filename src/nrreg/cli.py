@@ -86,12 +86,15 @@ def load_transforms(path, n_vertices=None):
         raise CliError(f"{path}: {n} transforms for {n_vertices} template vertices")
     if len(lines) != 1 + 3 * n:
         raise CliError(f"{path}: expected {3 * n} data lines, got {len(lines) - 1}")
+    rows = [ln.split() for ln in lines[1:]]
+    for k, row in enumerate(rows, 1):
+        if len(row) != 4:
+            raise CliError(f"{path}: rows must hold 4 reals; "
+                           f"data row {k} holds {len(row)}")
     try:
-        vals = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
+        vals = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
-    if vals.shape != (3 * n, 4):
-        raise CliError(f"{path}: rows must hold 4 reals")
     if not np.all(np.isfinite(vals)):
         raise CliError(f"{path}: transform values must be finite")
     return TransformStack(vals.reshape(n, 3, 4))

@@ -138,6 +138,7 @@ def nearest_neighbors(points, k, queries=None, tree=None, bound=np.inf):
     queries = points if self_query else np.asarray(queries, dtype=np.float64)
     n, q = len(points), len(queries)
     if tree is None:
+        # lazy: scipy.spatial would add a fifth to every `import nrreg`
         from scipy.spatial import cKDTree
         tree = cKDTree(points)
     self_rows = np.arange(q) if self_query else None

@@ -126,7 +126,7 @@ def residuals_for_analysis(X, sys, mode="per_axis_l1"):
     matched = sys.w_data > 0
     if not np.any(matched):
         raise ValueError("no matched vertices")
-    res = (sys.V @ X.stacked - sys.U_f)[matched]
+    res = (sys.structure.V @ X.stacked - sys.U_f)[matched]
     if mode == "per_axis_l1":
         return res.ravel()
     if mode == "euclidean":

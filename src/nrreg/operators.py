@@ -72,9 +72,6 @@ class TransformStack:
             raise ValueError(f"{len(vh)} vertices for {self.n} transforms")
         return np.einsum("nij,nj->ni", self.blocks, vh)
 
-    def copy(self):
-        return TransformStack(self.blocks.copy())
-
 
 def _read_only(*arrays):
     for arr in arrays:
@@ -257,38 +254,16 @@ class PenaltyBasis:
                                  minlength=len(st.pp_band))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemMatrices:
     """Per-outer-iteration sparse system: the registration's fixed structure
     (V, B, edges, matrix pattern), matched target positions, and the current
-    diagonal weights."""
+    diagonal weights. Frozen: new weights arrive only through ``replace``."""
 
     structure: SystemStructure
     U_f: np.ndarray           # (N, 3), zero rows where unmatched
     w_data: np.ndarray        # (N,) diagonal of W_D
-    w_smooth: np.ndarray      # (E,) diagonal of W_S
-
-    @property
-    def V(self):
-        """(N, 4N) data map."""
-        return self.structure.V
-
-    @property
-    def B(self):
-        """(E, 4N) smoothness map; row r belongs to edges[r]."""
-        return self.structure.B
-
-    @property
-    def edges(self):
-        return self.structure.edges
-
-    @property
-    def n(self):
-        return self.V.shape[0]
-
-    @property
-    def n_edges(self):
-        return self.B.shape[0]
+    w_smooth: np.ndarray      # (E,) diagonal of W_S; row r of B is edges[r]
 
     @cached_property
     def penalty_basis(self):
@@ -301,11 +276,11 @@ class SystemMatrices:
 
     def data_residual(self, X):
         """W_D (V X - U_f) as an (N, 3) dense matrix."""
-        return self.w_data[:, None] * (self.V @ X.stacked - self.U_f)
+        return self.w_data[:, None] * (self.structure.V @ X.stacked - self.U_f)
 
     def smooth_residual(self, X):
         """W_S B X as an (E, 3) dense matrix."""
-        return self.w_smooth[:, None] * (self.B @ X.stacked)
+        return self.w_smooth[:, None] * (self.structure.B @ X.stacked)
 
 
 def assemble_V(vertices):
@@ -385,15 +360,6 @@ def nearest_rotations(m):
     # a flipped optimum is unique iff the two smallest singular values differ
     unique = np.where(flip, s[:, 1] - s[:, 2] > tol, s[:, 2] > tol)
     return u @ vt, unique
-
-
-def procrustes_project(m):
-    """Nearest rotation to one 3x3 matrix; returns (R, unique)."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    r, unique = nearest_rotations(m[None])
-    return r[0], bool(unique[0])
 
 
 # entry k = 3i + j of a row-major 3x3 matrix m has the cofactor
@@ -593,10 +559,10 @@ def _singular(mu1, mu2, beta, sys):
     linear part's as a pivot beta + mu2 lambda = 0, a position's as a zero
     row of the banded system.)"""
     st = sys.structure
-    i, j = sys.edges[st.edge_rows].T
+    i, j = st.edges[st.edge_rows].T
     wv = sys.w_data[:, None] * st.vh
     we = sys.w_smooth[st.edge_rows, None] * st.vh[i]
-    smooth = np.zeros((sys.n, 4, 4))
+    smooth = np.zeros((st.n, 4, 4))
     np.add.at(smooth, np.stack([i, j], axis=1).reshape(-1),
               np.repeat(we[:, :, None] * we[:, None, :], 2, axis=0))
     blocks = mu1 * (wv[:, :, None] * wv[:, None, :]) + mu2 * smooth
@@ -615,9 +581,9 @@ def _unanchored_vertices(sys):
     """Vertices of the components of the graph of nonzero-weight edges that
     hold no vertex of nonzero data weight: nothing pins such a component's
     common affine motion, so the system is singular on it."""
-    e = sys.edges[sys.w_smooth != 0]
-    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
-                          shape=(sys.n, sys.n))
+    n = sys.structure.n
+    e = sys.structure.edges[sys.w_smooth != 0]
+    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     n_comp, label = connected_components(graph, directed=False)
     anchored = np.zeros(n_comp, bool)
     anchored[label[sys.w_data != 0]] = True

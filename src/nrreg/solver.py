@@ -143,7 +143,7 @@ def admm_solve(sys, X_init, cfg):
     multiplier and penalty updates, until both primal residuals (Frobenius
     norm over sqrt(rows)) drop below ``inner_tol``.
     """
-    n, ne = sys.n, sys.n_edges
+    n, ne = sys.structure.n, len(sys.w_smooth)
     X = X_init
     Y1 = np.zeros((n, 3))
     Y2 = np.zeros((ne, 3))
@@ -198,10 +198,10 @@ def update_weights(X_prev, sys, eps_data, eps_smooth):
     1 / (l1 of X_i v_i - X_j v_i + eps). Residuals use the previous outer
     iteration's transforms (identity on the first iteration).
     """
-    pos = sys.V @ X_prev.stacked
+    pos = sys.structure.V @ X_prev.stacked
     data_res = np.abs(pos - sys.U_f).sum(axis=1)
     w_data = np.where(sys.w_data > 0, 1.0 / (data_res + eps_data), 0.0)
-    edge_res = np.abs(sys.B @ X_prev.stacked).sum(axis=1)
+    edge_res = np.abs(sys.structure.B @ X_prev.stacked).sum(axis=1)
     w_smooth = 1.0 / (edge_res + eps_smooth)
     return w_data, w_smooth
 
@@ -220,7 +220,7 @@ def solve_l2_baseline(sys, alpha, held=None):
     mask = sys.w_data > 0
     w = mask.astype(float)
     if held is None or not np.array_equal(mask, held[0]):
-        binary = replace(sys, w_data=w, w_smooth=np.ones(sys.n_edges))
+        binary = replace(sys, w_data=w, w_smooth=np.ones(len(sys.w_smooth)))
         held = mask, factorize_system(1.0, alpha, 0.0, binary)
     return solve_X(held[1], sys.structure.VT @ (w[:, None] * sys.U_f)), held
 
@@ -284,7 +284,7 @@ def register(template, target, landmarks, cfg):
         build_edge_graph(template, cfg.knn_k)
     targ = _shape_with_optional_normals(targ_v, target.faces)
     # one search tree over the fixed target serves its kNN graph and every
-    # closest-point refresh
+    # closest-point refresh (lazy: scipy.spatial would slow `import nrreg`)
     from scipy.spatial import cKDTree
     tree = cKDTree(targ.vertices)
     gate = np.inf
@@ -302,14 +302,14 @@ def register(template, target, landmarks, cfg):
     converged = False
     # inverse-residual weights approximate an l0 penalty, which exerts no
     # pull on distant landmark anchors; run plain-l1 (binary) weights until
-    # the closest-point acquisition phase settles, then start reweighting
-    reweight_on = False
+    # the closest-point acquisition phase settles, then reweight to the end
     reweights = cfg.variant != "l2" and cfg.reweight
+    reweighted = False
     deformed_v = X.apply(tmpl_v)
     for outer in range(1, cfg.outer_iters + 1):
-        if not reweight_on and log and \
+        if reweights and log and \
                 log[-1]["mean_displacement"] < cfg.reweight_start_tol:
-            reweight_on = True
+            reweighted = True
         # the template's edges: Shape need not derive them again from faces
         deformed = _shape_with_optional_normals(deformed_v, template.faces, edges)
         refreshed = corrmod.closest_point_refresh(
@@ -318,7 +318,6 @@ def register(template, target, landmarks, cfg):
         if corr.n_matched() == 0:
             raise RuntimeError(f"no correspondences at outer iteration {outer}")
         sys = assemble_system(structure, corr, targ.vertices)
-        reweighted = reweights and reweight_on
         if reweighted:
             wd, ws = update_weights(X, sys, cfg.eps_data, cfg.eps_smooth)
             sys = replace(sys, w_data=wd, w_smooth=ws)
@@ -348,7 +347,7 @@ def register(template, target, landmarks, cfg):
             "reweighted": reweighted,
         })
         X, deformed_v = X_new, new_v
-        if disp < cfg.outer_tol and (reweight_on or not reweights):
+        if disp < cfg.outer_tol and reweighted == reweights:
             converged = True
             break
 

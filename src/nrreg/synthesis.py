@@ -34,34 +34,35 @@ class CorruptionSpec:
             raise ValueError("outlier_fraction must be in [0, 1]")
 
 
+def _displace_along_normals(target, fraction, sigma, seed):
+    """Draw g ~ N(0, 1) per vertex from the seeded generator, then a uniform
+    floor(fraction * M) subset, and move that subset along its normals by
+    g * sigma * l_bar. Returns (shape without normals, sorted indices)."""
+    shape = with_normals(target)
+    m = shape.n_vertices
+    rng = rng_from_seed(seed)
+    g = rng.standard_normal(m)
+    idx = np.sort(rng.permutation(m)[:int(np.floor(fraction * m))])
+    moved = shape.vertices.copy()
+    moved[idx] += (g[idx] * sigma * mean_edge_length(shape))[:, None] * shape.normals[idx]
+    return replace(shape, vertices=moved, normals=None), idx
+
+
 def perturb_noise(target, sigma, seed=0):
     """Displace every vertex along its normal by g * sigma * l_bar with
     g ~ N(0, 1) from the seeded generator. Faces are unchanged; the result
     has no normals, since the target's no longer fit the moved surface."""
-    shape = with_normals(target)
-    lbar = mean_edge_length(shape)
-    g = rng_from_seed(seed).standard_normal(shape.n_vertices)
-    moved = shape.vertices + (g * sigma * lbar)[:, None] * shape.normals
-    return replace(shape, vertices=moved, normals=None)
+    return _displace_along_normals(target, 1.0, sigma, seed)[0]
 
 
 def perturb_outliers(target, fraction, magnitude_sigma=3.0, seed=0):
     """Displace a uniform floor(fraction * M) subset of vertices along their
-    normals; with fraction = 1 this matches perturb_noise for the same seed.
+    normals; with fraction = 1 this is perturb_noise for the same seed.
     Returns (shape, sorted outlier indices); as with perturb_noise, the
     shape has no normals."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    shape = with_normals(target)
-    m = shape.n_vertices
-    lbar = mean_edge_length(shape)
-    rng = rng_from_seed(seed)
-    g = rng.standard_normal(m)  # same draw order as perturb_noise
-    count = int(np.floor(fraction * m))
-    idx = np.sort(rng.permutation(m)[:count])
-    moved = shape.vertices.copy()
-    moved[idx] += (g[idx] * magnitude_sigma * lbar)[:, None] * shape.normals[idx]
-    return replace(shape, vertices=moved, normals=None), idx
+    return _displace_along_normals(target, fraction, magnitude_sigma, seed)
 
 
 def apply_corruption(target, spec):

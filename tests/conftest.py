@@ -60,11 +60,11 @@ def sparse_product_system_matrix(mu1, mu2, beta, sys):
     S the per-vertex selector diag(1, 1, 1, 0) of the linear parts. Sparse
     arithmetic drops entries that come out exactly zero. The program never
     forms this matrix."""
-    WV = sp.diags(sys.w_data) @ sys.V
-    WB = sp.diags(sys.w_smooth) @ sys.B
+    WV = sp.diags(sys.w_data) @ sys.structure.V
+    WB = sp.diags(sys.w_smooth) @ sys.structure.B
     a = mu1 * (WV.T @ WV) + mu2 * (WB.T @ WB)
     if beta != 0.0:
-        a = a + beta * sp.diags(np.tile([1.0, 1.0, 1.0, 0.0], sys.n))
+        a = a + beta * sp.diags(np.tile([1.0, 1.0, 1.0, 0.0], sys.structure.n))
     a = a.tocsc()
     a.sum_duplicates()
     return a
@@ -294,4 +294,17 @@ PLY_FAULTS = {
                                  "property list uchar int idx")
                       + struct.pack("<9fB3i", 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 0, 1, 2),
                       "0: list property on polyline element"),
+}
+
+# malformed OBJ files and the "line: message" that load_shape reports for
+# each, after the path; a face index beyond the vertices is found after the
+# whole file is read, on line 0
+OBJ_TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+OBJ_FAULTS = {
+    "bad-vertex-coordinate": ("v 0 0 0\nv 1 x 0\n", "2: bad vertex coordinate"),
+    "short-face": (OBJ_TRIANGLE + "f 1 2\n", "4: face needs 3 indices"),
+    "bad-face-index": (OBJ_TRIANGLE + "f 1 2 c\n", "4: bad face index"),
+    "zero-face-index": (OBJ_TRIANGLE + "f 0 1 2\n", "4: face index must be >= 1"),
+    "face-index-beyond-vertices": (OBJ_TRIANGLE + "f 1 2 4\n",
+                                   "0: face index out of range"),
 }

@@ -18,7 +18,6 @@ from nrreg import (
     fit_residual_distributions,
     perturb_noise,
     perturb_outliers,
-    procrustes_project,
     register,
     residuals_for_analysis,
     shrink,
@@ -28,6 +27,7 @@ from nrreg import (
 from nrreg.cli import main as cli_main
 from nrreg.geometry import knn_edges, with_normals
 from nrreg.metrics import mean_distance_error
+from nrreg.operators import nearest_rotations
 from nrreg.synthesis import landmark_subset
 
 # criterion 2's reference matrix: the 4N x 4N system from sparse products
@@ -208,7 +208,7 @@ def test_criterion_01_kernel_oracles(criterion):
             m = mrng.standard_normal((3, 3))
             if i % 4 == 0:
                 m[:, 2] = m[:, 0] * 0.999  # nearly rank deficient
-            r, _ = procrustes_project(m)
+            (r,), _ = nearest_rotations(m[None])
             assert np.abs(r.T @ r - np.eye(3)).max() < 1e-9
             assert np.linalg.det(r) > 0
             _, best = max_trace_rotation_oracle(m)
@@ -223,7 +223,7 @@ def test_criterion_02_linear_solve_accuracy(criterion):
             sys_, rng = random_connected_system(seed)
             mu1, mu2, beta = rng.uniform(0.5, 4.0, 3)
             handle = factorize_system(mu1, mu2, beta, sys_)
-            rhs = rng.standard_normal((4 * sys_.n, 3))
+            rhs = rng.standard_normal((4 * sys_.structure.n, 3))
             x = solve_X(handle, rhs).stacked
             a = system_matrix(mu1, mu2, beta, sys_)
             rel = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
@@ -257,9 +257,9 @@ def test_criterion_03_admm_convergence_and_convex_oracle(criterion, bend_instanc
         sel = np.arange(4 * n).reshape(n, 4)[:, :3].ravel()
         rt = state.R.transpose(0, 2, 1).reshape(3 * n, 3)
         data = cvxpy.sum(cvxpy.abs(
-            cvxpy.multiply(sys_.w_data[:, None], sys_.V @ xv - sys_.U_f)))
+            cvxpy.multiply(sys_.w_data[:, None], sys_.structure.V @ xv - sys_.U_f)))
         smooth = cvxpy.sum(cvxpy.abs(
-            cvxpy.multiply(sys_.w_smooth[:, None], sys_.B @ xv)))
+            cvxpy.multiply(sys_.w_smooth[:, None], sys_.structure.B @ xv)))
         orth = cvxpy.sum_squares(xv[sel] - rt)
         prob = cvxpy.Problem(cvxpy.Minimize(
             data + cfg.alpha * smooth + cfg.beta * orth))

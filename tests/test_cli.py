@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 from nrreg import Shape, TransformStack, load_shape, save_shape
-from nrreg.cli import CliError, load_transforms, main, save_transforms
+from nrreg.cli import CliError, load_config, load_transforms, main, save_transforms
 from nrreg.correspondence import save_correspondences
 
-from conftest import DUPLICATE_SUSPECTS, PLY_FAULTS, duplicated_strip, two_strips
+from conftest import (
+    DUPLICATE_SUSPECTS,
+    OBJ_FAULTS,
+    PLY_FAULTS,
+    duplicated_strip,
+    two_strips,
+)
 
 
 def run(*argv):
@@ -51,12 +57,43 @@ class TestTransformFile:
         with pytest.raises(CliError, match="expected 6 data lines"):
             load_transforms(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("1 0 0 0\n0 1 0\n0 0 1 0\n", "data row 2 holds 3"),
+        ("1 0 0\n0 1 0\n0 0 1\n", "data row 1 holds 3"),
+        ("1 0 0 0\n0 1 0 0\n0 0 1 0 7\n", "data row 3 holds 5"),
+    ])
+    def test_row_width_names_first_bad_row(self, tmp_path, body, message):
+        path = tmp_path / "t.txt"
+        path.write_text("nonrigid-transforms v1 N=1\n" + body)
+        with pytest.raises(CliError, match=f"t.txt: rows must hold 4 reals; {message}$"):
+            load_transforms(path)
+
+    def test_malformed_header(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("nonrigid-transforms v1 N=two\n")
+        with pytest.raises(CliError,
+                           match="t.txt: malformed header 'nonrigid-transforms v1 N=two'"):
+            load_transforms(path)
+
+    def test_non_numeric_value(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("nonrigid-transforms v1 N=1\n1 0 0 0\n0 1 0 y\n0 0 1 0\n")
+        with pytest.raises(CliError, match="t.txt: could not convert string to float: 'y'"):
+            load_transforms(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         path = tmp_path / "t.txt"
         path.write_text(f"nonrigid-transforms v1 N=1\n1 0 0 0\n0 1 0 {value}\n0 0 1 0\n")
         with pytest.raises(CliError, match="t.txt: transform values must be finite"):
             load_transforms(path)
+
+
+def test_invalid_json_config(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"alpha": 1.0,}')
+    with pytest.raises(CliError, match="c.json: invalid JSON config"):
+        load_config(path, {})
 
 
 def write_identity_transforms(path, n):
@@ -522,10 +559,37 @@ def error_case_argv(case, inst, tmp):
         (tmp / "bad.ply").write_bytes(PLY_FAULTS[case[4:]][0])
         return ["evaluate", "--template", str(tmp / "bad.ply"), "--ground-truth",
                 g, "--transforms", gt, "--out", out]
+    if case.startswith("obj-"):
+        (tmp / "bad.obj").write_text(OBJ_FAULTS[case[4:]][0])
+        return ["evaluate", "--template", str(tmp / "bad.obj"), "--ground-truth",
+                g, "--transforms", gt, "--out", out]
+    if case.startswith("transforms-"):
+        (tmp / "bad.txt").write_text(TRANSFORM_FAULTS[case[11:]])
+        return ["evaluate", "--template", t, "--ground-truth", g,
+                "--transforms", str(tmp / "bad.txt"), "--out", out]
+    if case.startswith("corr-"):
+        (tmp / "bad.txt").write_text(CORR_FAULTS[case[5:]])
+        return ["register", "--template", t, "--target", g,
+                "--corr", str(tmp / "bad.txt"), "--out", out]
+    if case == "config-invalid-json":
+        (tmp / "bad.json").write_text('{"alpha": 1.0,}')
+        return ["register", "--template", t, "--target", g,
+                "--config", str(tmp / "bad.json"), "--out", out]
     if case == "replay-no-args":
         (tmp / "manifest.json").write_text(json.dumps({"command": "register"}))
         return ["replay", "--manifest", str(tmp / "manifest.json")]
     raise AssertionError(case)
+
+
+# bad transform and correspondence files of the error cases, on the
+# instance's 96 template vertices
+TRANSFORM_FAULTS = {
+    "header": "nonrigid-transforms v1 N=\n",
+    "ragged": "nonrigid-transforms v1 N=96\n" + "1 0 0 0\n0 1 0\n0 0 1 0\n" * 96,
+    "width": "nonrigid-transforms v1 N=96\n" + "1 0 0\n" * 288,
+    "word": "nonrigid-transforms v1 N=96\n" + "1 0 0 zero\n" * 288,
+}
+CORR_FAULTS = {"triple": "0 0\n1 1 1\n", "word": "0 first\n", "range": "96 0\n"}
 
 
 # the cause each bad-input case must name on its error line
@@ -545,6 +609,15 @@ ERROR_CAUSES = {
     "ply-polyline-list": "bad.ply:" + PLY_FAULTS["polyline-list"][1],
     "ply-binary-color-out-of-range":
         "bad.ply:" + PLY_FAULTS["binary-color-out-of-range"][1],
+    **{f"obj-{k}": "bad.obj:" + v[1] for k, v in OBJ_FAULTS.items()},
+    "transforms-header": "bad.txt: malformed header 'nonrigid-transforms v1 N='",
+    "transforms-ragged": "bad.txt: rows must hold 4 reals; data row 2 holds 3",
+    "transforms-width": "bad.txt: rows must hold 4 reals; data row 1 holds 3",
+    "transforms-word": "bad.txt: could not convert string to float: 'zero'",
+    "corr-triple": "bad.txt:2: expected 'i j' pair",
+    "corr-word": "bad.txt:1: non-integer index",
+    "corr-range": "bad.txt:1: template index 96 out of range [0, 96)",
+    "config-invalid-json": "bad.json: invalid JSON config",
 }
 
 

@@ -41,6 +41,24 @@ class TestLoadCorrespondences:
         with pytest.raises(ValueError, match="duplicate template index 1"):
             load_correspondences(path, 3, 4)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n0 1 2\n", "c.txt:2: expected 'i j' pair"),
+        ("0 x\n", "c.txt:1: non-integer index"),
+        ("3 0\n", r"c.txt:1: template index 3 out of range \[0, 3\)"),
+        ("-1 0\n", r"c.txt:1: template index -1 out of range \[0, 3\)"),
+    ])
+    def test_bad_line_named(self, tmp_path, text, message):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_correspondences(path, 3, 4)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# template target\n\n0 1\n   \n#2 3\n2 0\n")
+        corr = load_correspondences(path, 3, 4)
+        assert corr.mapping.tolist() == [2, 0, 1]
+
     def test_roundtrip(self, tmp_path):
         corr = CorrespondenceMap(np.array([3, 0, 1, 0]))
         path = tmp_path / "c.txt"
@@ -190,3 +208,7 @@ class TestMapInvariants:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             CorrespondenceMap(np.array([-1, 0]))
+
+    def test_two_dimensional_mapping_rejected(self):
+        with pytest.raises(ValueError, match="mapping must be 1-D"):
+            CorrespondenceMap(np.zeros((2, 2), dtype=np.int64))

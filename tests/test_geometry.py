@@ -18,6 +18,7 @@ from nrreg.geometry import (
 )
 
 from conftest import (
+    OBJ_FAULTS,
     PLY_FAULTS,
     TRIANGLE_LIST,
     XYZ_FLOAT,
@@ -126,6 +127,16 @@ class TestLoadShape:
         path.write_text("# nothing\n")
         with pytest.raises(MeshParseError, match="no vertices"):
             load_shape(path)
+
+    @pytest.mark.parametrize("case", OBJ_FAULTS)
+    def test_obj_fault_names_path_and_line(self, tmp_path, case):
+        content, where = OBJ_FAULTS[case]
+        path = tmp_path / "bad.obj"
+        path.write_text(content)
+        with pytest.raises(MeshParseError) as err:
+            load_shape(path)
+        assert str(err.value) == f"{path}:{where}"
+        assert err.value.line_no == int(where.split(":")[0])
 
     @pytest.mark.parametrize("case", PLY_FAULTS)
     def test_ply_fault_names_path_and_line(self, tmp_path, case):
@@ -648,6 +659,16 @@ class TestShapeInvariants:
     def test_face_index_out_of_range(self):
         with pytest.raises(ValueError):
             Shape(vertices=np.zeros((2, 3)), faces=np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"vertices": np.zeros((4, 2))}, r"vertices must be \(N, 3\), got \(4, 2\)"),
+        ({"vertices": np.zeros((0, 3))}, "shape has no vertices"),
+        ({"vertices": np.zeros((2, 3)), "edges": [[0, 1], [1, 2]]},
+         "edge index out of range"),
+    ])
+    def test_invalid_arrays_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Shape(**kwargs)
 
     def test_non_unit_normals_rejected(self):
         with pytest.raises(ValueError, match="unit"):

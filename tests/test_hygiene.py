@@ -1,7 +1,11 @@
-"""Source hygiene of the package modules: no import that nothing uses and no
-private top-level function that nothing calls."""
+"""Source hygiene of the package modules: no import that nothing uses, no
+private top-level function that nothing calls, and no eager import of
+``scipy.spatial``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,13 @@ def test_every_private_function_referenced(path):
                and node.name.startswith("_") and not node.name.endswith("__")}
     unused = sorted(private - read_names(tree))
     assert unused == [], f"{path.name} defines {unused} and never uses them"
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the kd-tree module is imported where a tree is built: loading it with
+    # the package would add about a fifth to every fresh interpreter's import
+    code = "import sys, nrreg, nrreg.cli; print('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

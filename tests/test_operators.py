@@ -2,7 +2,7 @@
 oracles: grid-search proximal operators, quaternion-parameterized rotation
 search, dense linear solves, and finite differences of the quadratic model."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -17,13 +17,13 @@ from scipy.sparse.linalg import splu
 from nrreg import (
     CorrespondenceMap,
     SingularSystemError,
+    SystemMatrices,
     TransformStack,
     assemble_B,
     assemble_V,
     assemble_system,
     block_shrink,
     factorize_system,
-    procrustes_project,
     register,
     shrink,
     solve_X,
@@ -231,20 +231,24 @@ class TestBlockShrink:
         assert group[1] > 0.0 and group[2] > 0.0
         assert group[1] / group[0] == pytest.approx(row[1] / row[0])
 
+    def test_negative_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            block_shrink(np.ones((2, 3)), -0.1)
+
 
 class TestProcrustes:
     def test_identity_fixed(self):
-        r, unique = procrustes_project(np.eye(3))
+        (r,), (unique,) = nearest_rotations(np.eye(3)[None])
         np.testing.assert_allclose(r, np.eye(3), atol=1e-12)
         assert unique
 
     def test_scale_removed(self):
-        r, _ = procrustes_project(2.0 * np.eye(3))
+        (r,), _ = nearest_rotations(2.0 * np.eye(3)[None])
         np.testing.assert_allclose(r, np.eye(3), atol=1e-12)
 
     def test_reflection_input_trace_optimal_flagged(self):
         m = np.diag([1.0, 1.0, -1.0])
-        r, unique = procrustes_project(m)
+        (r,), (unique,) = nearest_rotations(m[None])
         assert not unique
         assert np.trace(r.T @ m) == pytest.approx(1.0, abs=1e-9)
         _, oracle_val = max_trace_rotation(m)
@@ -254,7 +258,7 @@ class TestProcrustes:
         rng = np.random.default_rng(9)
         for i in range(10):
             m = rng.standard_normal((3, 3))
-            r, _ = procrustes_project(m)
+            (r,), _ = nearest_rotations(m[None])
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
             assert abs(np.linalg.det(r) - 1.0) < 1e-9
             _, oracle_val = max_trace_rotation(m, seed=i)
@@ -271,13 +275,13 @@ class TestProcrustes:
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ])
-        r, unique = procrustes_project(rot)
+        (r,), (unique,) = nearest_rotations(rot[None])
         np.testing.assert_allclose(r, rot, atol=1e-9)
         assert unique
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            procrustes_project(np.full((3, 3), np.nan))
+            nearest_rotations(np.full((3, 3), np.nan)[None])
 
 
 class TestNearestRotations:
@@ -327,6 +331,12 @@ class TestNearestRotations:
         stack[3, 1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             nearest_rotations(stack)
+
+    @pytest.mark.parametrize("shape, got", [((3, 3), r"\(3, 3\)"),
+                                            ((2, 3, 4), r"\(2, 3, 4\)")])
+    def test_non_stack_rejected(self, shape, got):
+        with pytest.raises(ValueError, match=r"expected an \(N, 3, 3\) stack, got " + got):
+            nearest_rotations(np.ones(shape))
 
 
 def random_rotation(rng):
@@ -520,6 +530,11 @@ class TestFactorizeAndSolve:
         with pytest.raises(SingularSystemError, match="solve produced non-finite values"):
             handle.solve(rhs)
 
+    def test_rhs_row_count_checked(self):
+        handle = factorize_system(1.0, 1.0, 0.2, small_system(n=10, seed=4))
+        with pytest.raises(ValueError, match="rhs has 36 rows, expected 40"):
+            handle.solve(np.zeros((36, 3)))
+
     def test_invalid_penalties_rejected(self):
         sys_ = small_system(n=5, seed=5)
         with pytest.raises(ValueError):
@@ -540,17 +555,17 @@ class TestSTerms:
         sys_ = small_system(n=8, seed=7)
         mu1, mu2, beta = 1.7, 2.3, 0.6
         rng = np.random.default_rng(11)
-        rot = np.stack([procrustes_project(rng.standard_normal((3, 3)))[0]
+        rot = np.stack([nearest_rotations(rng.standard_normal((3, 3))[None])[0][0]
                         for _ in range(8)])
         c = rng.standard_normal((8, 3))
-        a_aux = rng.standard_normal((sys_.n_edges, 3))
+        a_aux = rng.standard_normal((len(sys_.w_smooth), 3))
         y1 = rng.standard_normal((8, 3))
-        y2 = rng.standard_normal((sys_.n_edges, 3))
+        y2 = rng.standard_normal((len(sys_.w_smooth), 3))
 
         def objective(x_flat):
             x = x_flat.reshape(32, 3)
-            g1 = sys_.w_data[:, None] * (sys_.V @ x - sys_.U_f)
-            g2 = sys_.w_smooth[:, None] * (sys_.B @ x)
+            g1 = sys_.w_data[:, None] * (sys_.structure.V @ x - sys_.U_f)
+            g2 = sys_.w_smooth[:, None] * (sys_.structure.B @ x)
             lin = TransformStack.from_stacked(x).linear_parts()
             return (beta * np.sum((lin - rot) ** 2)
                     + mu1 / 2 * np.sum((c - g1 + y1 / mu1) ** 2)
@@ -558,8 +573,8 @@ class TestSTerms:
 
         a_mat = sparse_product_system_matrix(mu1, mu2, 2.0 * beta, sys_)
         wU = sys_.w_data[:, None] * sys_.U_f
-        rhs = sys_.V.T @ (sys_.w_data[:, None] * (y1 + mu1 * (c + wU))) \
-            + sys_.B.T @ (sys_.w_smooth[:, None] * (y2 + mu2 * a_aux)) \
+        rhs = sys_.structure.V.T @ (sys_.w_data[:, None] * (y1 + mu1 * (c + wU))) \
+            + sys_.structure.B.T @ (sys_.w_smooth[:, None] * (y2 + mu2 * a_aux)) \
             + 2.0 * beta * rotation_rhs(rot)
         x0 = rng.standard_normal(96)
         grad_analytic = (a_mat @ x0.reshape(32, 3) - rhs).ravel()
@@ -586,6 +601,24 @@ class TestSystemInvariants:
         sys_ = assemble_system(SystemStructure(verts, edges), corr, verts)
         assert np.all(sys_.w_data[~corr.matched] == 0)
         assert np.all(sys_.U_f[~corr.matched] == 0)
+
+    @pytest.mark.parametrize("name", ["structure", "U_f", "w_data", "w_smooth"])
+    def test_system_frozen(self, name):
+        # new weights arrive only through replace, so they never meet the
+        # penalty basis cached for the old ones
+        sys_ = small_system(n=6, seed=3)
+        with pytest.raises(FrozenInstanceError):
+            setattr(sys_, name, getattr(sys_, name))
+
+    def test_system_forwards_nothing(self):
+        # the structure's arrays are read from the structure alone
+        assert not [k for k, v in vars(SystemMatrices).items()
+                    if isinstance(v, property)]
+
+    def test_transform_stack_shape_checked(self):
+        with pytest.raises(ValueError,
+                           match=r"blocks must be \(N, 3, 4\), got \(2, 3, 3\)"):
+            TransformStack(np.zeros((2, 3, 3)))
 
     def test_transform_stack_roundtrip(self):
         blocks = np.random.default_rng(10).standard_normal((7, 3, 4))
@@ -712,7 +745,7 @@ class TestFixedPatternSystemMatrix:
         first = factorize_system(1.0, 2.0, 0.3, sys_).solve(rhs)
         rng = np.random.default_rng(13)
         for changed in (replace(sys_, w_data=sys_.w_data * rng.random(10)),
-                        replace(sys_, w_smooth=rng.random(sys_.n_edges))):
+                        replace(sys_, w_smooth=rng.random(len(sys_.w_smooth)))):
             x = factorize_system(1.0, 2.0, 0.3, changed).solve(rhs)
             a = sparse_product_system_matrix(1.0, 2.0, 0.3, changed)
             np.testing.assert_allclose(a @ x, rhs, atol=1e-9)
@@ -781,7 +814,7 @@ def singular_rule_4n(mu1, mu2, beta, sys):
     exact = np.any(np.diff(a.indptr) == 0)
     tol = 1e-10 * a.diagonal().max(initial=1.0)
     dense = a.toarray()
-    suspects = [i for i in range(sys.n) if np.linalg.matrix_rank(
+    suspects = [i for i in range(sys.structure.n) if np.linalg.matrix_rank(
         dense[4 * i:4 * i + 4, 4 * i:4 * i + 4], tol=tol) < 4]
     return ("Factor is exactly singular" if exact else "zero pivot"), suspects
 

@@ -92,7 +92,7 @@ class TestSolverConfig:
 class TestEvaluateEnergy:
     def test_exact_alignment_zero(self):
         sys_, _ = aligned_system()
-        x = TransformStack.identity(sys_.n)
+        x = TransformStack.identity(sys_.structure.n)
         e = evaluate_energy(x, sys_, None, alpha=1.0, beta=0.0)
         assert e["data"] == pytest.approx(0.0, abs=1e-12)
         assert e["smooth"] == pytest.approx(0.0, abs=1e-12)
@@ -139,7 +139,7 @@ class TestEvaluateEnergy:
 class TestAdmmSolve:
     def test_aligned_fixed_point(self):
         sys_, _ = aligned_system()
-        x0 = TransformStack.identity(sys_.n)
+        x0 = TransformStack.identity(sys_.structure.n)
         x, state = admm_solve(sys_, x0, SolverConfig())
         assert state.n_iters == 1
         assert max(state.residuals[0]) < 1e-12
@@ -178,7 +178,7 @@ class TestAdmmSolve:
         sys_ = assemble_system(SystemStructure(verts, edges),
                                CorrespondenceMap(np.arange(1, n + 1)),
                                random_cloud(n, seed=15))
-        assert sys_.n_edges == 0
+        assert len(sys_.w_smooth) == 0
         _, state = admm_solve(sys_, TransformStack.identity(n), SolverConfig())
         assert state.A.shape == (0, 3)
         assert [r_smooth for _, r_smooth in state.residuals] == \
@@ -225,8 +225,9 @@ class TestInnerLoopOracle:
         res = register(b["template"], b["target"], landmark_subset(n, 0.1, seed=1),
                        cfg)
         sys_, state = res.final_system, res.final_state
-        data, smooth = diags(sys_.w_data) @ sys_.V, diags(sys_.w_smooth) @ sys_.B
-        ne = sys_.n_edges
+        data, smooth = diags(sys_.w_data) @ sys_.structure.V, \
+            diags(sys_.w_smooth) @ sys_.structure.B
+        ne = len(sys_.w_smooth)
         zeros_d, zeros_s = np.zeros((n, ne)), np.zeros((ne, n))
         a_ub = vstack([hstack([data, -identity(n), zeros_d]),
                        hstack([-data, -identity(n), zeros_d]),
@@ -548,7 +549,7 @@ class TestL2Baseline:
     def test_exact_alignment_zero_residual(self):
         sys_, _ = aligned_system(n=16, seed=4)
         x, _ = solve_l2_baseline(sys_, alpha=1.0)
-        assert np.abs(sys_.V @ x.stacked - sys_.U_f).max() < 1e-8
+        assert np.abs(sys_.structure.V @ x.stacked - sys_.U_f).max() < 1e-8
 
     def test_faceless_singular_vertices_have_in_degree_below_three(self):
         # in node-relative unknowns vertex j's linear part enters only the
@@ -613,8 +614,8 @@ class TestL2Baseline:
         alpha = 0.7
         x, _ = solve_l2_baseline(sys_, alpha)
         w = (sys_.w_data > 0).astype(float)
-        V = sys_.V.toarray() * w[:, None]
-        B = sys_.B.toarray()
+        V = sys_.structure.V.toarray() * w[:, None]
+        B = sys_.structure.B.toarray()
         a = V.T @ V + alpha * B.T @ B
         rhs = V.T @ (w[:, None] * sys_.U_f)
         dense = np.linalg.solve(a, rhs)
@@ -718,8 +719,8 @@ class TestVariants:
         if variant == "l2":
             x, _ = solve_l2_baseline(sys_, cfg.alpha)
         else:
-            x, _ = admm_solve(sys_, TransformStack.identity(sys_.n), cfg)
-        assert np.abs(sys_.V @ x.stacked - sys_.U_f).max() < 1e-6
+            x, _ = admm_solve(sys_, TransformStack.identity(sys_.structure.n), cfg)
+        assert np.abs(sys_.structure.V @ x.stacked - sys_.U_f).max() < 1e-6
 
     def test_outlier_ordering_dual_below_l2(self, bend_instance):
         b = bend_instance

@@ -158,6 +158,11 @@ class TestSynthDeformation:
         with pytest.raises(ValueError, match="empty region"):
             synth_deformation(strip, spec)
 
+    def test_regions_deformation_needs_a_region(self, strip):
+        with pytest.raises(ValueError,
+                           match="regions deformation needs at least one region"):
+            synth_deformation(strip, DeformationSpec(kind="regions"))
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             DeformationSpec(kind="twist")
