@@ -8,9 +8,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+
+# scipy is imported inside the functions that build sparse matrices, order,
+# factorize and solve (lazy: at module level it would take about two thirds
+# of every fresh interpreter's `import nrreg`, and a process that only
+# synthesizes, perturbs or evaluates never factorizes)
 
 
 class SingularSystemError(RuntimeError):
@@ -111,6 +113,8 @@ class SystemStructure:
     """
 
     def __init__(self, vertices, edges):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
         self.vh = homogeneous(vertices)
         n = self.n = len(self.vh)
         self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -214,6 +218,7 @@ class PenaltyBasis:
     """
 
     def __init__(self, structure, w_smooth):
+        import scipy.sparse as sp
         st = structure
         n = st.n
         i, j = st.edges[st.edge_rows].T
@@ -285,6 +290,7 @@ class SystemMatrices:
 
 def assemble_V(vertices):
     """Block-diagonal (N, 4N) matrix with row i = homogeneous v_i^T."""
+    import scipy.sparse as sp
     vh = homogeneous(vertices)
     n = len(vh)
     rows = np.repeat(np.arange(n), 4)
@@ -295,6 +301,7 @@ def assemble_V(vertices):
 def assemble_B(vertices, edges):
     """Edge-difference matrix (E, 4N): row for (i, j) holds +v_i^T in block i
     and -v_i^T in block j, so (B X)_r = (X_i v_i - X_j v_i)^T."""
+    import scipy.sparse as sp
     vh = homogeneous(vertices)
     n = len(vh)
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -472,6 +479,7 @@ class Factorization:
         return self._pivot_ratio
 
     def solve(self, rhs):
+        from scipy.linalg.lapack import dpbtrs
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {self.shape[0]}")
@@ -514,6 +522,7 @@ def factorize_system(mu1, mu2, beta, sys):
     lambda scaled by s^-2, which makes them commensurate; s is a power of
     two, so no solution bit depends on it.
     """
+    from scipy.linalg.lapack import dpbtrf
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("mu1 and mu2 must be positive")
     if beta < 0:
@@ -581,6 +590,8 @@ def _unanchored_vertices(sys):
     """Vertices of the components of the graph of nonzero-weight edges that
     hold no vertex of nonzero data weight: nothing pins such a component's
     common affine motion, so the system is singular on it."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
     n = sys.structure.n
     e = sys.structure.edges[sys.w_smooth != 0]
     graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))

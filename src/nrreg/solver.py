@@ -282,7 +282,10 @@ def register(template, target, landmarks, cfg):
     targ_v = (target.vertices - center) / scale
     edges = template.edges if len(template.edges) else \
         build_edge_graph(template, cfg.knn_k)
-    targ = _shape_with_optional_normals(targ_v, target.faces)
+    # a meshed target's own edges: Shape need not derive them again from faces
+    meshed = target.faces is not None and len(target.faces)
+    targ = _shape_with_optional_normals(targ_v, target.faces,
+                                        target.edges if meshed else None)
     # one search tree over the fixed target serves its kNN graph and every
     # closest-point refresh (lazy: scipy.spatial would slow `import nrreg`)
     from scipy.spatial import cKDTree
@@ -322,13 +325,18 @@ def register(template, target, landmarks, cfg):
             wd, ws = update_weights(X, sys, cfg.eps_data, cfg.eps_smooth)
             sys = replace(sys, w_data=wd, w_smooth=ws)
         if cfg.variant == "l2":
-            X_new, returned = solve_l2_baseline(sys, cfg.alpha, held)
+            if held is not None and not np.array_equal(sys.w_data > 0, held[0]):
+                held = None     # a new mask: free the old factorization first
+            factorizations = int(held is None)
+            X_new, held = solve_l2_baseline(sys, cfg.alpha, held)
             energies = evaluate_energy(X_new, sys, None, cfg.alpha, 0.0)
-            inner, factorizations, history = 1, int(returned is not held), []
-            held = returned
+            inner, history = 1, []
         else:
             X_new, state = admm_solve(sys, X, cfg)
-            energies = evaluate_energy(X_new, sys, state.R, cfg.alpha, cfg.beta)
+            # at beta = 0 the loop's R is the identity it never updates: orth
+            # is then the distance to the nearest rotations, as for l2
+            energies = evaluate_energy(X_new, sys, state.R if cfg.beta > 0 else None,
+                                       cfg.alpha, cfg.beta)
             # one factorization per inner iteration
             inner = factorizations = state.n_iters
             history = state.residuals

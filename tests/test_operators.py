@@ -840,11 +840,12 @@ class TestBlockOrdering:
     def test_order_is_block_permutation_built_once(self, bend_instance,
                                                    monkeypatch):
         # one reverse Cuthill-McKee order of the condensed N x N pattern per
-        # registration, however many factorizations the inner loop runs
-        import nrreg.operators
+        # registration, however many factorizations the inner loop runs;
+        # SystemStructure imports the order from scipy where it is built
+        import scipy.sparse.csgraph
         import nrreg.solver
         counts = {"order": 0, "factorize": 0}
-        order_fn = nrreg.operators.reverse_cuthill_mckee
+        order_fn = scipy.sparse.csgraph.reverse_cuthill_mckee
         factorize = nrreg.solver.factorize_system
 
         def counted_order(*args):
@@ -855,7 +856,8 @@ class TestBlockOrdering:
             counts["factorize"] += 1
             return factorize(*args)
 
-        monkeypatch.setattr(nrreg.operators, "reverse_cuthill_mckee", counted_order)
+        monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee",
+                            counted_order)
         monkeypatch.setattr(nrreg.solver, "factorize_system", counted_factorize)
         b = bend_instance
         res = register(b["template"], b["target"], b["landmarks"],
@@ -936,8 +938,9 @@ class TestBlockOrdering:
     def test_exact_zeros_leave_pattern_intact(self, monkeypatch):
         # exact-zero entries: every factorization scatters into a band of its
         # own through the shared, read-only band index and band rows, which
-        # stay intact, and a second factorization solves the same
-        import nrreg.operators
+        # stay intact, and a second factorization solves the same;
+        # factorize_system imports dpbtrf from scipy where it factorizes
+        import scipy.linalg.lapack
         verts = random_cloud(12, seed=23)
         verts[:, 2] = 0.0
         edges = knn_edges(verts, 4)
@@ -948,7 +951,7 @@ class TestBlockOrdering:
         assert sparse_product_system_matrix(1.0, 1.0, 0.3, sys_).nnz < 16 * n_blocks
         index, rows = st_.band_index.copy(), st_.pair_rows.copy()
         factored = []
-        monkeypatch.setattr(nrreg.operators, "dpbtrf", lambda ab, **kw:
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda ab, **kw:
                             factored.append(ab) or dpbtrf(ab, **kw))
         rhs = np.random.default_rng(24).standard_normal((48, 3))
         first = factorize_system(1.0, 1.0, 0.3, sys_).solve(rhs)

@@ -22,6 +22,7 @@ from nrreg import (
 )
 from nrreg.geometry import Shape, build_edge_graph, knn_edges
 from nrreg.metrics import mean_distance_error
+from nrreg.operators import project_rotations
 from nrreg.synthesis import (
     DeformationSpec,
     landmark_subset,
@@ -405,6 +406,32 @@ class TestRegister:
         once = register(b["template"], target, b["landmarks"], cfg)
         assert len(once.log) == 4 and calls == [target.n_vertices]
 
+    def test_meshed_target_edges_reused(self, bend_instance, monkeypatch):
+        # a meshed target's edges and the template's are the shapes' own:
+        # no edge list is derived from faces again
+        import nrreg.geometry
+        calls = []
+        derive = nrreg.geometry.edges_from_faces
+        monkeypatch.setattr(nrreg.geometry, "edges_from_faces",
+                            lambda faces: calls.append(len(faces)) or derive(faces))
+        b = bend_instance
+        res = register(b["template"], b["target"], b["landmarks"],
+                       replace(b["cfg"], outer_iters=2))
+        assert len(res.log) == 2 and calls == []
+
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_orth_at_zero_beta_is_distance_to_rotations(self, variant):
+        # at beta = 0 no variant updates its rotations: orth is the distance
+        # of the linear parts to their nearest rotations, not to the identity
+        template = make_strip(20, 4, 0.1, relief=0.5)
+        target = synth_deformation(template, DeformationSpec(kind="bend"))[0]
+        res = register(template, target, None,
+                       SolverConfig(variant=variant, beta=0.0, outer_iters=3))
+        lin = res.transforms.linear_parts()
+        expected = np.sum((lin - project_rotations(res.transforms)) ** 2)
+        assert res.log[-1]["energies"]["orth"] == pytest.approx(expected, rel=1e-12)
+        assert expected < np.sum((lin - np.eye(3)) ** 2)
+
     @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
     def test_penalty_basis_built_once_per_weights(self, bend_instance,
                                                   monkeypatch, variant):
@@ -708,6 +735,35 @@ class TestL2FactorizationReuse:
         assert [e["factorizations"] for e in res.log] == [1, 1, 0, 1]
         assert seen["factorize"] == 3
         self.assert_matches_fresh_solves(seen, 1.0)
+
+    def test_one_factorization_alive(self, monkeypatch):
+        # masks A, B, B, A: a new mask frees the old factorization before
+        # the next one is built
+        import weakref
+
+        import nrreg.correspondence
+        import nrreg.solver
+        template = make_strip(8, 4, 0.1, relief=0.5)
+        n = template.n_vertices
+        a, b = np.arange(1, n + 1), np.arange(1, n + 1)
+        a[3] = b[20] = 0
+        script = iter([a, b, b, a])
+        monkeypatch.setattr(nrreg.correspondence, "closest_point_refresh",
+                            lambda *args: CorrespondenceMap(next(script)))
+        factorize = nrreg.solver.factorize_system
+        built, alive = [], []
+
+        def factorizing(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            handle = factorize(*args)
+            built.append(weakref.ref(handle))
+            return handle
+
+        monkeypatch.setattr(nrreg.solver, "factorize_system", factorizing)
+        res = register(template, template, None,
+                       SolverConfig(variant="l2", outer_iters=4, outer_tol=0.0))
+        assert [e["factorizations"] for e in res.log] == [1, 1, 0, 1]
+        assert alive == [0, 0, 0]
 
 
 class TestVariants:
