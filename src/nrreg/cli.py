@@ -108,29 +108,22 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_manifest(out_dir, command, args_dict, config, input_paths, seed,
+def write_manifest(out_dir, command, args_dict, config, inputs, seed,
                    outputs, timings):
     """One manifest per run; self-contained for replay (records the resolved
-    argument values, not the raw argv)."""
+    argument values, not the raw argv, and ``inputs``, the sha256 of each
+    input file by path)."""
     manifest = {
         "command": command,
         "args": args_dict,
         "config": asdict(config) if config is not None else None,
-        "inputs": {p: _sha256(p) for p in input_paths},
+        "inputs": inputs,
         "seed": seed,
         "outputs": sorted(outputs),
         "timings": timings,
@@ -193,7 +186,7 @@ def _write_error_report(out_dir, report):
         "mean": report.mean,
         "median": report.median,
         "max": report.max,
-        "mean_distance": report.summary()["mean_distance"],
+        "mean_distance": float(np.mean(np.sqrt(report.per_vertex))),
         "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
     })
     colored_path = os.path.join(out_dir, "error_colored.ply")
@@ -376,17 +369,18 @@ def cmd_synth(args, timings):
 def run_command(args, config_snapshot=None):
     """Run one parsed subcommand in its output directory and write its
     manifest: the parsed non-config flags as ``args``, the hashes of the
-    given input files, the subcommand's seed (if it has one) and the phase
-    timings. A replayed run passes the recorded ``config_snapshot``, which
-    is written to ``args.config`` before the subcommand loads it."""
+    given input files as they were before the run (a subcommand may
+    overwrite its own input), the subcommand's seed (if it has one) and the
+    phase timings. A replayed run passes the recorded ``config_snapshot``,
+    which is written to ``args.config`` before the subcommand loads it."""
     os.makedirs(args.out, exist_ok=True)
     if config_snapshot:
         _write_json(args.config, config_snapshot)
+    inputs = {path: _sha256(path) for path in
+              (getattr(args, name, None) for name in INPUT_ARGS) if path}
     timings = {"load": 0.0, "solve": 0.0, "write": 0.0}
     code, config, outputs = args.func(args, timings)
     recorded = {k: v for k, v in vars(args).items() if k not in UNRECORDED_ARGS}
-    inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
-              if path]
     write_manifest(args.out, args.command, recorded, config, inputs,
                    getattr(args, "seed", None), outputs, timings)
     return code
@@ -395,15 +389,22 @@ def run_command(args, config_snapshot=None):
 def cmd_replay(args):
     """Re-run the command recorded in a manifest, optionally into a fresh
     output directory; numeric outputs are byte-identical to the original.
-    A recorded config snapshot is replayed from ``replay_config.json`` in the
-    replay's own output directory."""
+    An input file that is missing or whose hash differs from the recorded
+    one is an error. A recorded config snapshot is replayed from
+    ``replay_config.json`` in the replay's own output directory."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("command"), str)
-            and isinstance(manifest.get("args"), dict)):
-        raise CliError(f"{args.manifest}: not a run manifest "
-                       "(needs a 'command' string and an 'args' object)")
+            and isinstance(manifest.get("args"), dict)
+            and isinstance(manifest.get("inputs"), dict)):
+        raise CliError(f"{args.manifest}: not a run manifest (needs a "
+                       "'command' string and 'args' and 'inputs' objects)")
     recorded = dict(manifest["args"])
+    for path, digest in manifest["inputs"].items():
+        # the recorded config is not read: the snapshot replaces it
+        if path != recorded.get("config") and \
+                not (os.path.isfile(path) and _sha256(path) == digest):
+            raise CliError(f"{path}: input missing or changed since the recorded run")
     if args.out:
         recorded["out"] = args.out
     if manifest.get("config"):

@@ -256,8 +256,9 @@ def compute_vertex_normals(shape):
 
 
 def with_normals(shape):
-    """Shape with vertex normals attached (computed from faces if missing)."""
-    if shape.normals is not None:
+    """Shape with vertex normals attached (computed from faces if missing);
+    a shape with neither normals nor faces is returned unchanged."""
+    if shape.normals is not None or shape.faces is None or not len(shape.faces):
         return shape
     normals, _ = compute_vertex_normals(shape)
     return replace(shape, normals=normals)

@@ -18,10 +18,6 @@ class ErrorReport:
     histogram: tuple              # (bin_edges, counts)
     colored_mesh: Shape
 
-    def summary(self):
-        return {"mean": self.mean, "median": self.median, "max": self.max,
-                "mean_distance": float(np.mean(np.sqrt(self.per_vertex)))}
-
 
 @dataclass(frozen=True)
 class DistributionFit:

@@ -176,6 +176,8 @@ class SystemStructure:
         outer iteration, built once per structure."""
         return PenaltyBasis(self, np.ones(len(self.edges)))
 
+    # VT and BT stay lazy: built in __init__, they would coexist with its
+    # pattern temporaries and raise the peak memory (4.3 MB at N = 6400)
     @cached_property
     def VT(self):
         """V^T as a read-only CSR matrix, for the right-hand sides."""
@@ -440,16 +442,6 @@ def project_rotations(X):
     if not ok.all():
         r[~ok] = nearest_rotations(m[~ok])[0]
     return r
-
-
-def rotation_rhs(rotations):
-    """Stacked (4N, 3) right-hand-side blocks [R_i^T; 0] for the rotation
-    penalty term of the normal equations."""
-    r = np.asarray(rotations, dtype=np.float64)
-    n = r.shape[0]
-    out = np.zeros((4 * n, 3))
-    out.reshape(n, 4, 3)[:, :3, :] = r.transpose(0, 2, 1)
-    return out
 
 
 class Factorization:

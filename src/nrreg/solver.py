@@ -13,8 +13,8 @@ from .geometry import (
     DEFAULT_KNN,
     Shape,
     build_edge_graph,
-    compute_vertex_normals,
     mean_edge_length,
+    with_normals,
 )
 from .operators import (
     SystemMatrices,
@@ -24,7 +24,6 @@ from .operators import (
     block_shrink,
     factorize_system,
     project_rotations,
-    rotation_rhs,
     shrink,
     solve_X,
 )
@@ -115,7 +114,7 @@ class AdmmState:
     X: TransformStack
     C: np.ndarray
     A: np.ndarray
-    R: np.ndarray          # (N, 3, 3)
+    R: np.ndarray | None   # (N, 3, 3); None at beta = 0, which never projects
     Y1: np.ndarray
     Y2: np.ndarray
     mu1: float
@@ -127,7 +126,8 @@ class AdmmState:
 
 def evaluate_energy(X, sys, R, alpha, beta):
     """Per-term energies of the weighted model: l1 data, l1 smoothness,
-    squared rotation deviation, and the weighted total."""
+    squared deviation of the linear parts from ``R`` (from their nearest
+    rotations when ``R`` is None), and the weighted total."""
     data = float(np.abs(sys.data_residual(X)).sum())
     smooth = float(np.abs(sys.smooth_residual(X)).sum())
     if R is None:
@@ -148,7 +148,7 @@ def admm_solve(sys, X_init, cfg):
     Y1 = np.zeros((n, 3))
     Y2 = np.zeros((ne, 3))
     mu1, mu2 = cfg.mu1_init, cfg.mu2_init
-    R = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+    R = None
     C = np.zeros((n, 3))
     A = np.zeros((ne, 3))
     history = []
@@ -162,16 +162,15 @@ def admm_solve(sys, X_init, cfg):
     for k in range(1, cfg.inner_iters + 1):
         C = data_update(G1, Y1, mu1)
         A = shrink(G2 - Y2 / mu2, cfg.alpha / mu2)
-        if cfg.beta > 0:
-            R = project_rotations(X)
         # transform update: exact minimizer of the augmented Lagrangian in X;
         # the rotation penalty enters with coefficient 2*beta (gradient of the
-        # squared Frobenius term)
+        # squared Frobenius term), as 2*beta R_i^T in rows 0-2 of block i
         handle = factorize_system(mu1, mu2, 2.0 * cfg.beta, sys)
         rhs = VT @ (sys.w_data[:, None] * (Y1 + mu1 * (C + wU))) \
             + BT @ (sys.w_smooth[:, None] * (Y2 + mu2 * A))
         if cfg.beta > 0:
-            rhs = rhs + 2.0 * cfg.beta * rotation_rhs(R)
+            R = project_rotations(X)
+            rhs.reshape(n, 4, 3)[:, :3] += 2.0 * cfg.beta * R.transpose(0, 2, 1)
         X = solve_X(handle, rhs)
         G1 = sys.data_residual(X)
         G2 = sys.smooth_residual(X)
@@ -254,14 +253,6 @@ def _denormalize(X, center, scale):
     return TransformStack(blocks)
 
 
-def _shape_with_optional_normals(vertices, faces, edges=None):
-    shape = Shape(vertices=vertices, faces=faces, edges=edges)
-    if faces is not None and len(faces):
-        normals, _ = compute_vertex_normals(shape)
-        shape = replace(shape, normals=normals)
-    return shape
-
-
 def register(template, target, landmarks, cfg):
     """Reweighted outer loop: refresh correspondences by closest point (merged
     with the fixed landmark set), update the inverse-residual weights,
@@ -276,6 +267,9 @@ def register(template, target, landmarks, cfg):
         landmarks = corrmod.CorrespondenceMap.empty(template.n_vertices)
     if landmarks.n != template.n_vertices:
         raise ValueError("landmark map length does not match template")
+    if landmarks.mapping.max(initial=0) > target.n_vertices:
+        raise ValueError(f"landmark target index {landmarks.mapping.max() - 1} "
+                         f"out of range [0, {target.n_vertices})")
 
     center, scale = _normalizer(template, target)
     tmpl_v = (template.vertices - center) / scale
@@ -284,8 +278,8 @@ def register(template, target, landmarks, cfg):
         build_edge_graph(template, cfg.knn_k)
     # a meshed target's own edges: Shape need not derive them again from faces
     meshed = target.faces is not None and len(target.faces)
-    targ = _shape_with_optional_normals(targ_v, target.faces,
-                                        target.edges if meshed else None)
+    targ = with_normals(Shape(vertices=targ_v, faces=target.faces,
+                              edges=target.edges if meshed else None))
     # one search tree over the fixed target serves its kNN graph and every
     # closest-point refresh (lazy: scipy.spatial would slow `import nrreg`)
     from scipy.spatial import cKDTree
@@ -314,7 +308,8 @@ def register(template, target, landmarks, cfg):
                 log[-1]["mean_displacement"] < cfg.reweight_start_tol:
             reweighted = True
         # the template's edges: Shape need not derive them again from faces
-        deformed = _shape_with_optional_normals(deformed_v, template.faces, edges)
+        deformed = with_normals(Shape(vertices=deformed_v, faces=template.faces,
+                                      edges=edges))
         refreshed = corrmod.closest_point_refresh(
             deformed, targ, gate, cfg.max_normal_angle, tree)
         corr = corrmod.merge(landmarks, refreshed)
@@ -333,21 +328,16 @@ def register(template, target, landmarks, cfg):
             inner, history = 1, []
         else:
             X_new, state = admm_solve(sys, X, cfg)
-            # at beta = 0 the loop's R is the identity it never updates: orth
-            # is then the distance to the nearest rotations, as for l2
-            energies = evaluate_energy(X_new, sys, state.R if cfg.beta > 0 else None,
-                                       cfg.alpha, cfg.beta)
+            energies = evaluate_energy(X_new, sys, state.R, cfg.alpha, cfg.beta)
             # one factorization per inner iteration
             inner = factorizations = state.n_iters
             history = state.residuals
-        res = history[-1] if history else (0.0, 0.0)
         new_v = X_new.apply(tmpl_v)
         disp = float(np.mean(np.linalg.norm(new_v - deformed_v, axis=1)))
         log.append({
             "outer": outer,
             "inner": inner,
             "energies": energies,
-            "residuals": {"data": res[0], "smooth": res[1]},
             "residual_history": list(history),
             "matched": corr.n_matched(),
             "mean_displacement": disp,

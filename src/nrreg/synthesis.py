@@ -28,7 +28,7 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in ("noise", "outliers"):
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
@@ -39,6 +39,8 @@ def _displace_along_normals(target, fraction, sigma, seed):
     floor(fraction * M) subset, and move that subset along its normals by
     g * sigma * l_bar. Returns (shape without normals, sorted indices)."""
     shape = with_normals(target)
+    if shape.normals is None:
+        raise ValueError("vertex normals require faces")
     m = shape.n_vertices
     rng = rng_from_seed(seed)
     g = rng.standard_normal(m)

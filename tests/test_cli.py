@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, manifests."""
 
+import hashlib
 import json
 import logging
 import os
@@ -115,6 +116,19 @@ class TestRegisterCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "register"
         assert set(manifest["inputs"])  # input hashes recorded
+
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_iterations_log_records_residuals_once(self, variant, instance,
+                                                   tmp_path):
+        out = tmp_path / "reg"
+        run("register", "--template", str(instance / "template.ply"),
+            "--target", str(instance / "target.ply"),
+            "--corr", str(instance / "landmarks.txt"), "--variant", variant,
+            "--outer-iters", "3", "--out", str(out))
+        outer = json.loads((out / "iterations.json").read_text())["outer"]
+        assert outer and all("residuals" not in e for e in outer)
+        assert [len(e["residual_history"]) for e in outer] == \
+            [0 if variant == "l2" else e["inner"] for e in outer]
 
     def test_missing_template_exit_one(self, tmp_path, capsys):
         code = run("register", "--template", str(tmp_path / "nope.ply"),
@@ -466,6 +480,17 @@ class TestManifest:
         assert manifest["seed"] is None
         assert "rng_seed" not in manifest["config"]
 
+    def test_inputs_hashed_before_the_run(self, instance, tmp_path):
+        # perturb writes corrupted.ply over an input of that name in --out
+        data = (instance / "target.ply").read_bytes()
+        src = tmp_path / "corrupted.ply"
+        src.write_bytes(data)
+        assert run("perturb", "--input", str(src), "--kind", "noise",
+                   "--sigma", "0.5", "--out", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert src.read_bytes() != data
+        assert manifest["inputs"] == {str(src): hashlib.sha256(data).hexdigest()}
+
 
 class TestReplay:
     def test_register_replay_byte_identical(self, instance, tmp_path):
@@ -491,6 +516,24 @@ class TestReplay:
                      "gt_transforms.txt"):
             assert (instance / name).read_bytes() == \
                 (replayed / name).read_bytes()
+
+    @pytest.mark.parametrize("change", ["overwritten", "deleted"])
+    def test_changed_input_refused(self, change, instance, tmp_path, capsys):
+        src = tmp_path / "target.ply"
+        src.write_bytes((instance / "target.ply").read_bytes())
+        out = tmp_path / "p"
+        assert run("perturb", "--input", str(src), "--kind", "noise",
+                   "--out", str(out)) == 0
+        if change == "overwritten":
+            src.write_bytes((out / "corrupted.ply").read_bytes())
+        else:
+            src.unlink()
+        capsys.readouterr()
+        assert run("replay", "--manifest", str(out / "manifest.json"),
+                   "--out", str(tmp_path / "again")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_every_subcommand_replays(self, command, instance, tmp_path):
@@ -527,6 +570,9 @@ def error_case_argv(case, inst, tmp):
         (tmp / "dup.txt").write_text("0 0\n0 1\n")
         return ["register", "--template", t, "--target", g,
                 "--corr", str(tmp / "dup.txt"), "--out", out]
+    if case == "nan-sigma":
+        return ["perturb", "--input", g, "--kind", "noise", "--sigma", "nan",
+                "--out", out]
     if case == "outlier-fraction":
         return ["perturb", "--input", g, "--kind", "outliers",
                 "--fraction", "2", "--out", out]
@@ -595,6 +641,7 @@ CORR_FAULTS = {"triple": "0 0\n1 1 1\n", "word": "0 first\n", "range": "96 0\n"}
 # the cause each bad-input case must name on its error line
 ERROR_CAUSES = {
     "duplicate-corr": "duplicate template index 0",
+    "nan-sigma": "sigma must be nonnegative",
     "outlier-fraction": "outlier_fraction must be in [0, 1]",
     "zero-band": "band_end must exceed band_start",
     "non-numeric-sigmas": "'abc'",

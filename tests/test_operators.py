@@ -38,7 +38,6 @@ from nrreg.operators import (
     homogeneous,
     nearest_rotations,
     project_rotations,
-    rotation_rhs,
 )
 from nrreg.synthesis import landmark_subset, make_strip
 
@@ -574,8 +573,9 @@ class TestSTerms:
         a_mat = sparse_product_system_matrix(mu1, mu2, 2.0 * beta, sys_)
         wU = sys_.w_data[:, None] * sys_.U_f
         rhs = sys_.structure.V.T @ (sys_.w_data[:, None] * (y1 + mu1 * (c + wU))) \
-            + sys_.structure.B.T @ (sys_.w_smooth[:, None] * (y2 + mu2 * a_aux)) \
-            + 2.0 * beta * rotation_rhs(rot)
+            + sys_.structure.B.T @ (sys_.w_smooth[:, None] * (y2 + mu2 * a_aux))
+        # rotation term: 2*beta R_i^T in rows 0-2 of block i, as admm_solve adds it
+        rhs.reshape(8, 4, 3)[:, :3] += 2.0 * beta * rot.transpose(0, 2, 1)
         x0 = rng.standard_normal(96)
         grad_analytic = (a_mat @ x0.reshape(32, 3) - rhs).ravel()
         eps = 1e-6

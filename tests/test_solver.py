@@ -296,6 +296,16 @@ class TestRegister:
             register(b["template"], b["target"], CorrespondenceMap.empty(3),
                      b["cfg"])
 
+    def test_landmark_past_target_named(self, bend_instance):
+        b = bend_instance
+        n = b["target"].n_vertices
+        mapping = np.zeros(b["template"].n_vertices, np.int64)
+        mapping[3] = n + 5
+        with pytest.raises(ValueError, match=rf"landmark target index {n + 4} "
+                                             rf"out of range \[0, {n}\)"):
+            register(b["template"], b["target"], CorrespondenceMap(mapping),
+                     b["cfg"])
+
     def test_deterministic_iteration_logs(self, bend_instance):
         b = bend_instance
         cfg = replace(b["cfg"], reweight=False, outer_iters=3)
@@ -431,6 +441,11 @@ class TestRegister:
         expected = np.sum((lin - project_rotations(res.transforms)) ** 2)
         assert res.log[-1]["energies"]["orth"] == pytest.approx(expected, rel=1e-12)
         assert expected < np.sum((lin - np.eye(3)) ** 2)
+        # the inner loop leaves no rotations it never projected
+        if variant == "l2":
+            assert res.final_state is None
+        else:
+            assert res.final_state.R is None
 
     @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
     def test_penalty_basis_built_once_per_weights(self, bend_instance,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nrreg import make_strip, perturb_noise, perturb_outliers, synth_deformation
+from nrreg import Shape, make_strip, perturb_noise, perturb_outliers, synth_deformation
 from nrreg.geometry import mean_edge_length, with_normals
 from nrreg.synthesis import (
     CorruptionSpec,
@@ -50,6 +50,12 @@ class TestPerturbNoise:
         delta = out.vertices - shaped.vertices
         cross = np.cross(delta, shaped.normals)
         assert np.abs(cross).max() < 1e-9
+
+    def test_faceless_shape_has_no_normals_to_follow(self, strip):
+        cloud = Shape(vertices=strip.vertices)
+        assert with_normals(cloud) is cloud
+        with pytest.raises(ValueError, match="vertex normals require faces"):
+            perturb_noise(cloud, 0.3, seed=1)
 
     def test_deterministic_and_preserves_topology(self, strip):
         a = perturb_noise(strip, 0.3, seed=9)
