@@ -26,7 +26,7 @@ from .metrics import (
     mean_distance_error,
     residuals_for_analysis,
 )
-from .operators import SystemStructure, TransformStack, assemble_system
+from .operators import TransformStack
 from .solver import VARIANTS, SolverConfig, register
 from .synthesis import (
     CorruptionSpec,
@@ -265,12 +265,12 @@ def cmd_fit_residuals(args, timings):
                                     target.n_vertices)
         stack = load_transforms(args.transforms, template.n_vertices)
     with _timed(timings, "solve"):
-        edgeless = SystemStructure(template.vertices, np.empty((0, 2), np.int64))
-        sys_ = assemble_system(edgeless, corr, target.vertices)
+        m = corr.matched
+        offsets = (stack.apply(template.vertices)[m]
+                   - target.vertices[corr.target_indices[m]])
         payload = {}
         for mode in ("per_axis_l1", "euclidean"):
-            fit = fit_residual_distributions(
-                residuals_for_analysis(stack, sys_, mode))
+            fit = fit_residual_distributions(residuals_for_analysis(offsets, mode))
             payload[mode] = {
                 "laplace": {"location": fit.laplace[0], "scale": fit.laplace[1],
                             "loglik": fit.loglik_laplace},

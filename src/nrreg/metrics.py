@@ -113,16 +113,16 @@ def fit_residual_distributions(residuals):
                            loglik_gauss=float(ll_gau))
 
 
-def residuals_for_analysis(X, sys, mode="per_axis_l1"):
-    """Positional residual samples over matched vertices.
+def residuals_for_analysis(offsets, mode="per_axis_l1"):
+    """Positional residual samples from the (M, 3) offsets of the M matched
+    vertices, moved position minus matched target.
 
     ``per_axis_l1``: the 3 signed coordinate residuals per matched vertex;
     ``euclidean``: one distance per matched vertex.
     """
-    matched = sys.w_data > 0
-    if not np.any(matched):
+    res = np.asarray(offsets, dtype=np.float64)
+    if not len(res):
         raise ValueError("no matched vertices")
-    res = (sys.structure.V @ X.stacked - sys.U_f)[matched]
     if mode == "per_axis_l1":
         return res.ravel()
     if mode == "euclidean":

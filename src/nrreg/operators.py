@@ -176,24 +176,6 @@ class SystemStructure:
         outer iteration, built once per structure."""
         return PenaltyBasis(self, np.ones(len(self.edges)))
 
-    # VT and BT stay lazy: built in __init__, they would coexist with its
-    # pattern temporaries and raise the peak memory (4.3 MB at N = 6400)
-    @cached_property
-    def VT(self):
-        """V^T as a read-only CSR matrix, for the right-hand sides."""
-        return _read_only_csr(self.V.T)
-
-    @cached_property
-    def BT(self):
-        """B^T as a read-only CSR matrix, for the right-hand sides."""
-        return _read_only_csr(self.B.T)
-
-
-def _read_only_csr(a):
-    a = a.tocsr()
-    _read_only(a.data, a.indices, a.indptr)
-    return a
-
 
 class PenaltyBasis:
     """What the smoothness weights ``w_smooth`` (E,) fix of every

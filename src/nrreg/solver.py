@@ -155,7 +155,7 @@ def admm_solve(sys, X_init, cfg):
     converged = False
     wU = sys.w_data[:, None] * sys.U_f
     data_update = DATA_UPDATES[cfg.variant]
-    VT, BT = sys.structure.VT, sys.structure.BT
+    VT, BT = sys.structure.V.T, sys.structure.B.T
     G1 = sys.data_residual(X)
     G2 = sys.smooth_residual(X)
     k = 0
@@ -221,7 +221,7 @@ def solve_l2_baseline(sys, alpha, held=None):
     if held is None or not np.array_equal(mask, held[0]):
         binary = replace(sys, w_data=w, w_smooth=np.ones(len(sys.w_smooth)))
         held = mask, factorize_system(1.0, alpha, 0.0, binary)
-    return solve_X(held[1], sys.structure.VT @ (w[:, None] * sys.U_f)), held
+    return solve_X(held[1], sys.structure.V.T @ (w[:, None] * sys.U_f)), held
 
 
 @dataclass

@@ -81,8 +81,8 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_cli_pipeline_leaves_scipy_unloaded(tmp_path):
-    # synthesize, corrupt and evaluate: no command of the pipeline but
-    # register factorizes, so none of them loads scipy
+    # synthesize, corrupt, evaluate and fit residuals: no command of the
+    # pipeline but register factorizes, so none of them loads scipy
     code = f"""if True:
         import sys
         from nrreg.cli import main
@@ -94,11 +94,16 @@ def test_cli_pipeline_leaves_scipy_unloaded(tmp_path):
             main(["evaluate", "--template", out + "/s/template.ply",
                   "--ground-truth", out + "/p/corrupted.ply", "--transforms",
                   out + "/s/gt_transforms.txt", "--out", out + "/e"]),
+            main(["fit-residuals", "--template", out + "/s/template.ply",
+                  "--target", out + "/p/corrupted.ply", "--corr",
+                  out + "/s/landmarks.txt", "--transforms",
+                  out + "/s/gt_transforms.txt", "--out", out + "/f"]),
         ]
         print(codes, {SCIPY_LOADED})
     """
-    assert run_python(code, tmp_path).strip() == "[0, 0, 0] []"
+    assert run_python(code, tmp_path).strip() == "[0, 0, 0, 0] []"
     assert (tmp_path / "e" / "error_report.json").is_file()
+    assert (tmp_path / "f" / "residual_fit.json").is_file()
 
 
 def test_registration_from_scipy_free_process_bit_identical(tmp_path):

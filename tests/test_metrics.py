@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from nrreg import (
     CorrespondenceMap,
-    SystemStructure,
     TransformStack,
-    assemble_system,
     fit_residual_distributions,
     fitting_error,
     register,
     residuals_for_analysis,
 )
-from nrreg.geometry import Shape, knn_edges
+from nrreg.geometry import Shape
 from nrreg.metrics import _fd_histogram, error_colors, mean_distance_error
 
 from conftest import random_cloud
@@ -145,45 +143,46 @@ class TestFitResidualDistributions:
 
 
 class TestResidualsForAnalysis:
-    def make_system(self, verts, target, mapping):
-        edges = knn_edges(verts, 2)
+    def offsets(self, x, verts, target, mapping):
+        # moved position minus matched target, over the matched vertices
         corr = CorrespondenceMap(np.asarray(mapping))
-        return assemble_system(SystemStructure(verts, edges), corr, target)
+        m = corr.matched
+        return x.apply(verts)[m] - np.asarray(target)[corr.target_indices[m]]
 
     def test_exact_alignment_zero_samples(self):
         verts = random_cloud(8, seed=14)
-        sys_ = self.make_system(verts, verts, np.arange(1, 9))
-        res = residuals_for_analysis(TransformStack.identity(8), sys_)
+        x = TransformStack.identity(8)
+        res = residuals_for_analysis(self.offsets(x, verts, verts, np.arange(1, 9)))
         np.testing.assert_allclose(res, 0.0, atol=1e-12)
 
     def test_single_offset_vertex_samples(self):
         verts = random_cloud(4, seed=15)
         target = verts.copy()
         target[2] -= np.array([1.0, -2.0, 0.0])
-        sys_ = self.make_system(verts, target, [0, 0, 3, 0])
         x = TransformStack.identity(4)
-        per_axis = residuals_for_analysis(x, sys_, "per_axis_l1")
+        offsets = self.offsets(x, verts, target, [0, 0, 3, 0])
+        per_axis = residuals_for_analysis(offsets, "per_axis_l1")
         np.testing.assert_allclose(np.sort(per_axis), [-2.0, 0.0, 1.0])
-        euclid = residuals_for_analysis(x, sys_, "euclidean")
+        euclid = residuals_for_analysis(offsets, "euclidean")
         np.testing.assert_allclose(euclid, [np.sqrt(5.0)])
 
     def test_sample_count_relation(self):
         verts = random_cloud(10, seed=16)
         target = random_cloud(10, seed=17)
-        sys_ = self.make_system(verts, target, np.arange(1, 11))
         x = TransformStack.identity(10)
-        per_axis = residuals_for_analysis(x, sys_, "per_axis_l1")
-        euclid = residuals_for_analysis(x, sys_, "euclidean")
+        offsets = self.offsets(x, verts, target, np.arange(1, 11))
+        per_axis = residuals_for_analysis(offsets, "per_axis_l1")
+        euclid = residuals_for_analysis(offsets, "euclidean")
         assert len(per_axis) == 3 * len(euclid)
 
     def test_no_matches_error(self):
         verts = random_cloud(4, seed=18)
-        sys_ = self.make_system(verts, verts, [0, 0, 0, 0])
+        offsets = self.offsets(TransformStack.identity(4), verts, verts, [0, 0, 0, 0])
         with pytest.raises(ValueError, match="no matched"):
-            residuals_for_analysis(TransformStack.identity(4), sys_)
+            residuals_for_analysis(offsets)
 
     def test_unknown_mode(self):
         verts = random_cloud(4, seed=19)
-        sys_ = self.make_system(verts, verts, [1, 2, 3, 4])
+        offsets = self.offsets(TransformStack.identity(4), verts, verts, [1, 2, 3, 4])
         with pytest.raises(ValueError, match="mode"):
-            residuals_for_analysis(TransformStack.identity(4), sys_, "l3")
+            residuals_for_analysis(offsets, "l3")
