@@ -154,23 +154,22 @@ def load_config(path, overrides):
 
 
 def _config_overrides(args):
-    names = [f.name for f in fields(SolverConfig)]
-    return {n: getattr(args, n) for n in names if hasattr(args, n)}
+    return {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
 
 
 def _add_config_flags(parser):
+    """One flag per SolverConfig field, of the field's type; None when not
+    given, so that a ``--config`` value or the default stands."""
     parser.add_argument("--config", help="flat JSON config file")
-    parser.add_argument("--variant", choices=VARIANTS)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--eps-data", dest="eps_data", type=float)
-    parser.add_argument("--eps-smooth", dest="eps_smooth", type=float)
-    parser.add_argument("--outer-iters", dest="outer_iters", type=int)
-    parser.add_argument("--inner-iters", dest="inner_iters", type=int)
-    parser.add_argument("--max-dist-factor", dest="max_dist_factor", type=float)
-    parser.add_argument("--knn-k", dest="knn_k", type=int)
-    parser.add_argument("--no-reweight", dest="reweight", action="store_false",
-                        default=None)
+    for f in fields(SolverConfig):
+        flag = f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            # a setting that is on by default: the flag turns it off
+            parser.add_argument("--no-" + flag, dest=f.name,
+                                action="store_false", default=None)
+        else:
+            parser.add_argument("--" + flag, type=type(f.default),
+                                choices=VARIANTS if f.name == "variant" else None)
 
 
 def _ext_of(path):

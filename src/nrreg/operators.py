@@ -195,7 +195,7 @@ class PenaltyBasis:
     ``lift`` (N, 4, 3) holds [Q_j; -v_j^T Q_j], the way from the eigenbasis
     back to X coordinates; its transpose Q_j^T [I | -v_j] is the way there.
     ``H`` is the (N, 3N) coupling Q_j^T g of every couple entry g of K_S,
-    column dN + j (``HT`` its transpose, on the same arrays). ``P`` maps
+    column dN + j (``H.T``: a CSR view on the same arrays). ``P`` maps
     the (3N,) diagonal of F to the Schur complement's band: column dN + j
     holds h_d h'_d for each pair (h, h') of couple entries in column j.
     ``ks_pp`` holds K_S's (p, p) entries at ``pp_band``.
@@ -229,7 +229,6 @@ class PenaltyBasis:
             h += qt[c].take(st.couple_col, axis=1) * g[c]
         self.H = sp.csc_matrix((h.reshape(-1), st.couple_rows, st.couple_indptr),
                                shape=(n, 3 * n))
-        self.HT = self.H.T
         pairs = np.empty((3, len(st.pair_first)))
         for d in range(3):
             h[d].take(st.pair_first, out=pairs[d])
@@ -465,7 +464,7 @@ class Factorization:
         c = b[:, 3] - self._mu2 * (basis.H @ z.transpose(1, 0, 2).reshape(3 * n, -1))
         p = np.empty_like(c)
         p[st.order] = dpbtrs(self._band, c[st.order], lower=1, overwrite_b=1)[0]
-        y = z - self._mu2f * (basis.HT @ p).reshape(3, n, -1).transpose(1, 0, 2)
+        y = z - self._mu2f * (basis.H.T @ p).reshape(3, n, -1).transpose(1, 0, 2)
         # back to X: x = [Q; -v^T Q] y + e_p p
         x = basis.lift @ y
         x[:, 3] += p

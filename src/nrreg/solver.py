@@ -38,34 +38,35 @@ DATA_UPDATES = {
 }
 VARIANTS = (*DATA_UPDATES, "l2")
 
+# internals of the inner loop's penalty continuation and of both stopping
+# rules; read at call time, so a test may patch them
+MU_INIT = 1.0               # mu1 and mu2 both start here
+RHO = 2.0                   # and both grow by this factor per inner iteration
+INNER_TOL = 1e-6            # primal residual that ends the inner loop
+OUTER_TOL = 1e-7            # mean displacement, fraction of bbox diagonal
+REWEIGHT_START_TOL = 2e-3   # displacement level that ends acquisition
+
 
 @dataclass
 class SolverConfig:
-    """All tunables of the registration pipeline.
+    """The settings a run chooses; each is a ``register`` / ``compare`` flag
+    and a ``--config`` key.
 
     ``register`` solves in a frame scaled to unit bounding-box diagonal, which
     makes the reweighting floors ``eps_data`` / ``eps_smooth`` and the
-    tolerances scale-meaningful.
+    module's tolerances scale-meaningful.
     """
 
     alpha: float = 1.0            # smoothness weight
     beta: float = 0.1             # rotation-penalty weight
-    mu1_init: float = 1.0
-    mu2_init: float = 1.0
-    rho1: float = 2.0             # penalty growth per inner iteration
-    rho2: float = 2.0
     eps_data: float = 0.01
     eps_smooth: float = 0.01
     outer_iters: int = 20
     inner_iters: int = 20
-    inner_tol: float = 1e-6
-    outer_tol: float = 1e-7       # mean displacement, fraction of bbox diagonal
-    reweight_start_tol: float = 2e-3  # displacement level that ends acquisition
     variant: str = "dual_sparse"
     reweight: bool = True
     max_dist_factor: float = 3.0  # closest-point gate, multiples of target l_bar
-    max_normal_angle: float = 60.0
-    knn_k: int = 6
+    knn_k: int = DEFAULT_KNN
 
     def validate(self):
         for f in fields(self):
@@ -79,23 +80,14 @@ class SolverConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and np.isnan(value):
                 raise ValueError(f"{f.name} must not be NaN")
-        if self.rho1 <= 1 or self.rho2 <= 1:
-            raise ValueError("rho1 and rho2 must be > 1")
-        if self.mu1_init <= 0 or self.mu2_init <= 0:
-            raise ValueError("penalty initializers must be positive")
         if self.eps_data <= 0 or self.eps_smooth <= 0:
             raise ValueError("reweighting floors must be positive")
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("iteration caps must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
-        for name in ("inner_tol", "outer_tol", "reweight_start_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
         if self.max_dist_factor <= 0:
             raise ValueError("max_dist_factor must be positive (inf: no gate)")
-        if self.max_normal_angle <= 0:
-            raise ValueError("max_normal_angle must be positive")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if self.variant not in VARIANTS:
@@ -141,13 +133,14 @@ def admm_solve(sys, X_init, cfg):
     """Inner alternating loop: closed-form updates of the data auxiliary, the
     smoothness auxiliary, the per-vertex rotations and the transforms, then
     multiplier and penalty updates, until both primal residuals (Frobenius
-    norm over sqrt(rows)) drop below ``inner_tol``.
+    norm over sqrt(rows)) drop below ``INNER_TOL``; both penalties start at
+    ``MU_INIT`` and grow by ``RHO`` per iteration.
     """
     n, ne = sys.structure.n, len(sys.w_smooth)
     X = X_init
     Y1 = np.zeros((n, 3))
     Y2 = np.zeros((ne, 3))
-    mu1, mu2 = cfg.mu1_init, cfg.mu2_init
+    mu1 = mu2 = MU_INIT
     R = None
     C = np.zeros((n, 3))
     A = np.zeros((ne, 3))
@@ -179,9 +172,9 @@ def admm_solve(sys, X_init, cfg):
         r1 = float(np.linalg.norm(C - G1) / np.sqrt(max(n, 1)))
         r2 = float(np.linalg.norm(A - G2) / np.sqrt(max(ne, 1)))
         history.append((r1, r2))
-        mu1 *= cfg.rho1
-        mu2 *= cfg.rho2
-        if max(r1, r2) < cfg.inner_tol:
+        mu1 *= RHO
+        mu2 *= RHO
+        if max(r1, r2) < INNER_TOL:
             converged = True
             break
     state = AdmmState(X=X, C=C, A=A, R=R, Y1=Y1, Y2=Y2, mu1=mu1, mu2=mu2,
@@ -305,13 +298,13 @@ def register(template, target, landmarks, cfg):
     deformed_v = X.apply(tmpl_v)
     for outer in range(1, cfg.outer_iters + 1):
         if reweights and log and \
-                log[-1]["mean_displacement"] < cfg.reweight_start_tol:
+                log[-1]["mean_displacement"] < REWEIGHT_START_TOL:
             reweighted = True
         # the template's edges: Shape need not derive them again from faces
         deformed = with_normals(Shape(vertices=deformed_v, faces=template.faces,
                                       edges=edges))
-        refreshed = corrmod.closest_point_refresh(
-            deformed, targ, gate, cfg.max_normal_angle, tree)
+        refreshed = corrmod.closest_point_refresh(deformed, targ, gate,
+                                                  tree=tree)
         corr = corrmod.merge(landmarks, refreshed)
         if corr.n_matched() == 0:
             raise RuntimeError(f"no correspondences at outer iteration {outer}")
@@ -345,7 +338,7 @@ def register(template, target, landmarks, cfg):
             "reweighted": reweighted,
         })
         X, deformed_v = X_new, new_v
-        if disp < cfg.outer_tol and reweighted == reweights:
+        if disp < OUTER_TOL and reweighted == reweights:
             converged = True
             break
 

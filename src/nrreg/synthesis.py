@@ -36,15 +36,17 @@ class CorruptionSpec:
 
 def _displace_along_normals(target, fraction, sigma, seed):
     """Draw g ~ N(0, 1) per vertex from the seeded generator, then a uniform
-    floor(fraction * M) subset, and move that subset along its normals by
-    g * sigma * l_bar. Returns (shape without normals, sorted indices)."""
+    floor(fraction * M) subset (every vertex at fraction 1, with no draw),
+    and move that subset along its normals by g * sigma * l_bar. Returns
+    (shape without normals, sorted indices)."""
     shape = with_normals(target)
     if shape.normals is None:
         raise ValueError("vertex normals require faces")
     m = shape.n_vertices
     rng = rng_from_seed(seed)
     g = rng.standard_normal(m)
-    idx = np.sort(rng.permutation(m)[:int(np.floor(fraction * m))])
+    idx = np.arange(m) if fraction >= 1 else \
+        np.sort(rng.permutation(m)[:int(np.floor(fraction * m))])
     moved = shape.vertices.copy()
     moved[idx] += (g[idx] * sigma * mean_edge_length(shape))[:, None] * shape.normals[idx]
     return replace(shape, vertices=moved, normals=None), idx
@@ -175,6 +177,10 @@ def make_strip(nx=20, ny=4, spacing=0.1, relief=0.0):
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"a strip needs nx >= 2 and ny >= 2, got nx={nx}, ny={ny}")
+    if not 0 < spacing < np.inf:
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    if not np.isfinite(relief):
+        raise ValueError(f"relief must be finite, got {relief}")
     xs = np.arange(nx) * spacing
     ys = np.arange(ny) * spacing
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

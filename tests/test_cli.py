@@ -169,6 +169,34 @@ class TestRegisterCommand:
         assert reports["dual_sparse"]["mean_distance"] <= \
             reports["l2"]["mean_distance"]
 
+    @pytest.mark.parametrize("command", ["register", "compare"])
+    def test_every_setting_is_a_flag(self, command):
+        # one flag per SolverConfig field, parsed to the field's type, and
+        # None when not given so that a --config value or the default stands
+        from dataclasses import fields
+
+        from nrreg.cli import build_parser
+        from nrreg.solver import SolverConfig
+        given = {"alpha": (["--alpha", "1"], 1.0), "beta": (["--beta", "0"], 0.0),
+                 "eps_data": (["--eps-data", "0.5"], 0.5),
+                 "eps_smooth": (["--eps-smooth", "2"], 2.0),
+                 "outer_iters": (["--outer-iters", "3"], 3),
+                 "inner_iters": (["--inner-iters", "7"], 7),
+                 "variant": (["--variant", "snr"], "snr"),
+                 "reweight": (["--no-reweight"], False),
+                 "max_dist_factor": (["--max-dist-factor", "inf"], float("inf")),
+                 "knn_k": (["--knn-k", "4"], 4)}
+        kinds = {f.name: type(f.default) for f in fields(SolverConfig)}
+        assert set(given) == set(kinds)
+        argv = [command, "--template", "t", "--target", "g",
+                "--ground-truth", "g", "--out", "o"]
+        parse = build_parser().parse_args
+        assert all(getattr(parse(argv), name) is None for name in kinds)
+        args = parse(argv + [a for flag, _ in given.values() for a in flag])
+        for name, (_, value) in given.items():
+            parsed = getattr(args, name)
+            assert parsed == value and type(parsed) is kinds[name], name
+
     def test_config_file_with_flag_override(self, instance, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alpha": 2.0, "outer_iters": 2}))
@@ -195,7 +223,7 @@ class TestRegisterCommand:
         (["--max-dist-factor", "nan"], {}, "max_dist_factor must not be NaN"),
         (["--beta", "nan"], {}, "beta must not be NaN"),
         (["--alpha", "nan"], {}, "alpha must not be NaN"),
-        ([], {"outer_tol": -1}, "outer_tol must be nonnegative"),
+        ([], {"eps_smooth": 0}, "reweighting floors must be positive"),
         ([], {"knn_k": 0}, "knn_k must be >= 1"),
     ])
     def test_bad_solver_setting_exit_one_before_solve(
@@ -598,6 +626,9 @@ def error_case_argv(case, inst, tmp):
                 "--out", out]
     if case == "one-vertex-strip":
         return ["synth", "--nx", "1", "--ny", "1", "--out", out]
+    if case.startswith("synth-"):
+        return ["synth", "--nx", "4", "--ny", "3", *SYNTH_FAULTS[case[6:]][0],
+                "--out", out]
     if case == "landmark-fraction":
         return ["synth", "--nx", "4", "--ny", "3", "--landmark-fraction", "2",
                 "--out", out]
@@ -621,6 +652,13 @@ def error_case_argv(case, inst, tmp):
         (tmp / "bad.json").write_text('{"alpha": 1.0,}')
         return ["register", "--template", t, "--target", g,
                 "--config", str(tmp / "bad.json"), "--out", out]
+    if case == "replay-removed-key":
+        # a manifest whose config snapshot names a setting that is now a
+        # solver constant
+        (tmp / "manifest.json").write_text(json.dumps({
+            "command": "register", "inputs": {}, "config": {"outer_tol": 1e-7},
+            "args": {"template": t, "target": g, "out": out}}))
+        return ["replay", "--manifest", str(tmp / "manifest.json")]
     if case == "replay-no-args":
         (tmp / "manifest.json").write_text(json.dumps({"command": "register"}))
         return ["replay", "--manifest", str(tmp / "manifest.json")]
@@ -636,6 +674,14 @@ TRANSFORM_FAULTS = {
     "word": "nonrigid-transforms v1 N=96\n" + "1 0 0 zero\n" * 288,
 }
 CORR_FAULTS = {"triple": "0 0\n1 1 1\n", "word": "0 first\n", "range": "96 0\n"}
+# strip geometry flags of synth, each with the cause its error line names
+SYNTH_FAULTS = {
+    "zero-spacing": (["--spacing", "0"], "spacing must be finite and positive, got 0.0"),
+    "negative-spacing": (["--spacing", "-0.1"],
+                         "spacing must be finite and positive, got -0.1"),
+    "nan-spacing": (["--spacing", "nan"], "spacing must be finite and positive, got nan"),
+    "nan-relief": (["--relief", "nan"], "relief must be finite, got nan"),
+}
 
 
 # the cause each bad-input case must name on its error line
@@ -649,8 +695,10 @@ ERROR_CAUSES = {
     "few-matches": "need at least 10 samples",
     "nan-vertex": "non-finite coordinates in 1 of 3 vertices (indices 1)",
     "one-vertex-strip": "a strip needs nx >= 2 and ny >= 2",
+    **{f"synth-{k}": v[1] for k, v in SYNTH_FAULTS.items()},
     "landmark-fraction": "landmark fraction must be in (0, 1]",
     "replay-no-args": "not a run manifest",
+    "replay-removed-key": "replay_config.json: unknown config keys ['outer_tol']",
     "ply-unknown-type": "bad.ply:" + PLY_FAULTS["unknown-type"][1],
     "ply-element-count-word": "bad.ply:" + PLY_FAULTS["element-count-word"][1],
     "ply-polyline-list": "bad.ply:" + PLY_FAULTS["polyline-list"][1],

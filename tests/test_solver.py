@@ -1,6 +1,7 @@
 """Inner splitting loop, reweighted outer loop, and comparison baselines."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -66,28 +67,42 @@ class TestSolverConfig:
                      outer_iters=np.int64(5)).validate()
 
     def test_zero_tolerances_and_no_gate_valid(self):
-        SolverConfig(inner_tol=0.0, outer_tol=0.0, reweight_start_tol=0.0,
-                     max_dist_factor=float("inf")).validate()
+        SolverConfig(max_dist_factor=float("inf")).validate()
 
     @pytest.mark.parametrize("kwargs", [
-        {"rho1": 1.0}, {"rho2": 0.5}, {"mu1_init": 0.0}, {"eps_data": 0.0},
-        {"outer_iters": 0}, {"inner_iters": 0}, {"alpha": -1.0},
-        {"beta": -0.1}, {"variant": "unknown"}, {"variant": "l2", "alpha": 0.0},
-        {"alpha": float("nan")}, {"beta": float("nan")}, {"rho1": float("nan")},
-        {"eps_smooth": float("nan")}, {"outer_tol": float("nan")},
-        {"max_dist_factor": float("nan")}, {"max_normal_angle": float("nan")},
-        {"outer_iters": float("nan")},
-        {"inner_tol": -1e-9}, {"outer_tol": -1.0}, {"reweight_start_tol": -1.0},
+        {"eps_data": 0.0}, {"eps_smooth": 0.0}, {"eps_data": -1.0},
+        {"outer_iters": 0}, {"inner_iters": 0}, {"inner_iters": -1},
+        {"alpha": -1.0}, {"beta": -0.1}, {"variant": "unknown"},
+        {"variant": "l2", "alpha": 0.0},
+        {"alpha": float("nan")}, {"beta": float("nan")},
+        {"eps_data": float("nan")}, {"eps_smooth": float("nan")},
+        {"max_dist_factor": float("nan")}, {"outer_iters": float("nan")},
+        {"inner_iters": float("nan")},
         {"max_dist_factor": 0.0}, {"max_dist_factor": -1.0},
-        {"max_normal_angle": 0.0}, {"knn_k": 0},
+        {"knn_k": 0}, {"knn_k": -1},
         # values of the wrong type
         {"outer_iters": 2.5}, {"inner_iters": 3.0}, {"outer_iters": True},
         {"knn_k": "6"}, {"reweight": "no"}, {"reweight": 1}, {"alpha": True},
-        {"beta": "0.1"}, {"max_dist_factor": None},
+        {"beta": "0.1"}, {"max_dist_factor": None}, {"knn_k": 2.5},
+        {"variant": None}, {"reweight": None}, {"eps_smooth": "0.01"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("name", [
+        "mu1_init", "mu2_init", "rho1", "rho2", "inner_tol", "outer_tol",
+        "reweight_start_tol", "max_normal_angle"])
+    def test_removed_setting_rejected(self, name, tmp_path):
+        # constants of the solver module now, not settings of a run: an old
+        # config file that names one fails instead of being ignored
+        from nrreg.cli import CliError, load_config
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 1.0})
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({name: 1.0}))
+        with pytest.raises(CliError, match=re.escape(f"unknown config keys ['{name}']")):
+            load_config(str(path), {})
 
 
 class TestEvaluateEnergy:
@@ -186,12 +201,15 @@ class TestAdmmSolve:
             [0.0] * state.n_iters
         assert state.converged
 
-    def test_penalties_increase(self):
+    def test_penalties_increase(self, monkeypatch):
+        import nrreg.solver
+        from nrreg.solver import MU_INIT, RHO
+        monkeypatch.setattr(nrreg.solver, "INNER_TOL", 0.0)
         sys_, _ = aligned_system(n=10, seed=2)
-        cfg = SolverConfig(inner_tol=0.0, inner_iters=5)
+        cfg = SolverConfig(inner_iters=5)
         _, state = admm_solve(sys_, TransformStack.identity(10), cfg)
-        assert state.mu1 == pytest.approx(cfg.mu1_init * cfg.rho1 ** 5)
-        assert state.mu2 == pytest.approx(cfg.mu2_init * cfg.rho2 ** 5)
+        assert state.mu1 == pytest.approx(MU_INIT * RHO ** 5)
+        assert state.mu2 == pytest.approx(MU_INIT * RHO ** 5)
 
     def test_subproblem_optimality_by_perturbation(self):
         # sampled check: each auxiliary update minimizes its own subproblem
@@ -534,9 +552,10 @@ class TestRegister:
     def test_reweighted_logs_actual_updates(self, bend_run, bend_instance,
                                             monkeypatch):
         # dual_sparse: reweighting starts at the outer iteration after the
-        # first whose displacement is below reweight_start_tol, and stays on
+        # first whose displacement is below REWEIGHT_START_TOL, and stays on
+        from nrreg.solver import REWEIGHT_START_TOL
         cfg = bend_instance["cfg"]
-        started = np.cumsum([False] + [e["mean_displacement"] < cfg.reweight_start_tol
+        started = np.cumsum([False] + [e["mean_displacement"] < REWEIGHT_START_TOL
                                        for e in bend_run.log[:-1]]) > 0
         assert [e["reweighted"] for e in bend_run.log] == started.tolist()
         assert 0 < started.sum() < len(bend_run.log)
@@ -551,7 +570,7 @@ class TestRegister:
             res = register(b["template"], b["target"], b["landmarks"],
                            replace(cfg, outer_iters=6, **changes))
             # acquisition ends before the last outer iteration
-            assert any(e["mean_displacement"] < cfg.reweight_start_tol
+            assert any(e["mean_displacement"] < REWEIGHT_START_TOL
                        for e in res.log[:-1])
             assert not any(e["reweighted"] for e in res.log)
         assert updates == []
@@ -743,9 +762,10 @@ class TestL2FactorizationReuse:
         a[3] = b[20] = 0
         script = iter([a, b, b, a])
         monkeypatch.setattr(nrreg.correspondence, "closest_point_refresh",
-                            lambda *args: CorrespondenceMap(next(script)))
+                            lambda *args, **kwargs: CorrespondenceMap(next(script)))
+        monkeypatch.setattr(nrreg.solver, "OUTER_TOL", 0.0)
         res, seen = self.l2_run(monkeypatch, template, target, None,
-                                SolverConfig(outer_iters=4, outer_tol=0.0))
+                                SolverConfig(outer_iters=4))
         assert [e["matched"] for e in res.log] == [n - 1] * 4
         assert [e["factorizations"] for e in res.log] == [1, 1, 0, 1]
         assert seen["factorize"] == 3
@@ -764,7 +784,7 @@ class TestL2FactorizationReuse:
         a[3] = b[20] = 0
         script = iter([a, b, b, a])
         monkeypatch.setattr(nrreg.correspondence, "closest_point_refresh",
-                            lambda *args: CorrespondenceMap(next(script)))
+                            lambda *args, **kwargs: CorrespondenceMap(next(script)))
         factorize = nrreg.solver.factorize_system
         built, alive = [], []
 
@@ -775,8 +795,9 @@ class TestL2FactorizationReuse:
             return handle
 
         monkeypatch.setattr(nrreg.solver, "factorize_system", factorizing)
+        monkeypatch.setattr(nrreg.solver, "OUTER_TOL", 0.0)
         res = register(template, template, None,
-                       SolverConfig(variant="l2", outer_iters=4, outer_tol=0.0))
+                       SolverConfig(variant="l2", outer_iters=4))
         assert [e["factorizations"] for e in res.log] == [1, 1, 0, 1]
         assert alive == [0, 0, 0]
 

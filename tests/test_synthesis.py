@@ -208,6 +208,15 @@ class TestHelpers:
         with pytest.raises(ValueError, match="nx >= 2 and ny >= 2"):
             make_strip(nx, ny)
 
+    @pytest.mark.parametrize("spacing, relief, name", [
+        (0.0, 0.5, "spacing"), (-0.1, 0.5, "spacing"), (np.nan, 0.5, "spacing"),
+        (np.inf, 0.5, "spacing"), (0.0, 0.0, "spacing"), (0.1, np.nan, "relief"),
+        (0.1, np.inf, "relief")])
+    def test_strip_geometry_must_be_finite(self, spacing, relief, name):
+        # a zero spacing with zero relief would put every vertex on one point
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_strip(4, 3, spacing, relief)
+
     def test_smallest_strip_is_one_quad(self):
         assert make_strip(2, 2).faces.shape == (2, 3)
 
