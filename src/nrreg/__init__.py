@@ -29,7 +29,6 @@ from .operators import (
     SystemStructure,
     TransformStack,
     assemble_B,
-    assemble_V,
     assemble_system,
     block_shrink,
     factorize_system,
@@ -47,7 +46,6 @@ from .solver import (
     update_weights,
 )
 from .synthesis import (
-    CorruptionSpec,
     DeformationSpec,
     make_strip,
     perturb_noise,

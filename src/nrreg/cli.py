@@ -29,12 +29,11 @@ from .metrics import (
 from .operators import TransformStack
 from .solver import VARIANTS, SolverConfig, register
 from .synthesis import (
-    CorruptionSpec,
     DeformationSpec,
-    apply_corruption,
     landmark_subset,
     make_strip,
     perturb_noise,
+    perturb_outliers,
     synth_deformation,
 )
 
@@ -233,8 +232,13 @@ def cmd_perturb(args, timings):
     with _timed(timings, "load"):
         shape = load_shape(args.input)
     with _timed(timings, "solve"):
-        spec = CorruptionSpec(args.kind, args.sigma, args.fraction, args.seed)
-        out_shape, idx = apply_corruption(shape, spec)
+        # noise ignores the fraction, but an out-of-range one is still an error
+        if not 0.0 <= args.fraction <= 1.0:
+            raise CliError(f"--fraction must be in [0, 1], got {args.fraction}")
+        if args.kind == "noise":
+            out_shape, idx = perturb_noise(shape, args.sigma, args.seed), ()
+        else:
+            out_shape, idx = perturb_outliers(shape, args.fraction, args.sigma, args.seed)
     with _timed(timings, "write"):
         out_path = os.path.join(args.out, "corrupted" + _ext_of(args.input))
         save_shape(out_shape, out_path)
@@ -417,8 +421,8 @@ def cmd_replay(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse exits 2 by default; 2 is reserved for non-convergence
-        self.print_usage(sys.stderr)
+        # argparse prints its usage and exits 2 by default; 2 is reserved for
+        # non-convergence, and main prints bad input as one error line
         raise CliError(message)
 
 

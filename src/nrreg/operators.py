@@ -33,8 +33,8 @@ class TransformStack:
     """N per-vertex 3x4 affine transforms.
 
     ``blocks`` is (N, 3, 4). ``stacked`` is the (4N, 3) matrix whose i-th row
-    block is blocks[i].T, so that V @ stacked gives the transformed Cartesian
-    positions row by row.
+    block is blocks[i].T, so that V @ stacked, V the block-diagonal data
+    operator of rows vh_i, gives the positions ``apply`` gives.
     """
 
     def __init__(self, blocks):
@@ -82,10 +82,10 @@ def _read_only(*arrays):
 
 
 class SystemStructure:
-    """What the template alone fixes, built once per registration: V, B, the
-    rows ``edge_rows`` of B with i != j (a self-loop's row of B is zero),
-    and the pattern and band order of the N x N system the factorization
-    condenses mu1 K_D + mu2 K_S + beta S to.
+    """What the template alone fixes, built once per registration: the
+    homogeneous vertices ``vh``, B, the rows ``edge_rows`` of B with i != j
+    (a self-loop's row of B is zero), and the pattern and band order of the
+    N x N system the factorization condenses mu1 K_D + mu2 K_S + beta S to.
 
     In node-relative unknowns (see ``factorize_system``) K_S couples p_r
     with vertex j's linear part only if r = j or (r, j) is an edge: the
@@ -118,7 +118,6 @@ class SystemStructure:
         self.vh = homogeneous(vertices)
         n = self.n = len(self.vh)
         self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self.V = assemble_V(vertices)
         self.B = assemble_B(vertices, self.edges)
         self.edge_rows = np.flatnonzero(self.edges[:, 0] != self.edges[:, 1])
         i, j = self.edges[self.edge_rows].T
@@ -133,13 +132,12 @@ class SystemStructure:
         diag = np.arange(n) * (n + 1)
         keys, inv = np.unique(np.concatenate([diag, j * n + i]), return_inverse=True)
         col, row = np.divmod(keys, n)
-        # pairs k <= k' within each column group: k' runs to the group's end
+        # pairs k <= k' within each column group (its rows ascend): k' runs to its end
         reps = np.cumsum(np.bincount(col, minlength=n))[col] - np.arange(len(col))
         first = np.repeat(np.arange(len(col)), reps)
         second = first + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
-        lo = np.minimum(row[first], row[second])
-        hi = np.maximum(row[first], row[second])
-        pair_keys, pair_slot = np.unique(lo * n + hi, return_inverse=True)
+        pair_keys, pair_slot = np.unique(row[first] * n + row[second],
+                                         return_inverse=True)
         off_keys, off_slot = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
                                        return_inverse=True)
         # inv[j] is the slot of the diagonal (j, j), inv[n:] those of the (i, j)
@@ -168,6 +166,11 @@ class SystemStructure:
                 np.tile(row.astype(np.int32), 3),
                 np.cumsum(np.r_[0, np.tile(per_col * (per_col + 1) // 2, 3)]),
                 np.tile(self.band_index[pair_slot], 3))))
+
+    def data_transpose(self, a):
+        """V^T a, (N, 3) -> (4N, 3), V the (N, 4N) block-diagonal data operator
+        of rows vh_i: block i is vh_i a_i^T, each entry the one product of V^T a."""
+        return np.einsum("nd,nc->ndc", self.vh, a).reshape(-1, 3)
 
     @cached_property
     def unit_penalty_basis(self):
@@ -245,7 +248,7 @@ class PenaltyBasis:
 @dataclass(frozen=True)
 class SystemMatrices:
     """Per-outer-iteration sparse system: the registration's fixed structure
-    (V, B, edges, matrix pattern), matched target positions, and the current
+    (vertices, B, edges, pattern), matched target positions, and the current
     diagonal weights. Frozen: new weights arrive only through ``replace``."""
 
     structure: SystemStructure
@@ -264,21 +267,11 @@ class SystemMatrices:
 
     def data_residual(self, X):
         """W_D (V X - U_f) as an (N, 3) dense matrix."""
-        return self.w_data[:, None] * (self.structure.V @ X.stacked - self.U_f)
+        return self.w_data[:, None] * (X.apply(self.structure.vh[:, :3]) - self.U_f)
 
     def smooth_residual(self, X):
         """W_S B X as an (E, 3) dense matrix."""
         return self.w_smooth[:, None] * (self.structure.B @ X.stacked)
-
-
-def assemble_V(vertices):
-    """Block-diagonal (N, 4N) matrix with row i = homogeneous v_i^T."""
-    import scipy.sparse as sp
-    vh = homogeneous(vertices)
-    n = len(vh)
-    rows = np.repeat(np.arange(n), 4)
-    cols = np.arange(4 * n)
-    return sp.csr_matrix((vh.reshape(-1), (rows, cols)), shape=(n, 4 * n))
 
 
 def assemble_B(vertices, edges):

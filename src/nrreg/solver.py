@@ -148,7 +148,7 @@ def admm_solve(sys, X_init, cfg):
     converged = False
     wU = sys.w_data[:, None] * sys.U_f
     data_update = DATA_UPDATES[cfg.variant]
-    VT, BT = sys.structure.V.T, sys.structure.B.T
+    VT, BT = sys.structure.data_transpose, sys.structure.B.T
     G1 = sys.data_residual(X)
     G2 = sys.smooth_residual(X)
     k = 0
@@ -159,7 +159,7 @@ def admm_solve(sys, X_init, cfg):
         # the rotation penalty enters with coefficient 2*beta (gradient of the
         # squared Frobenius term), as 2*beta R_i^T in rows 0-2 of block i
         handle = factorize_system(mu1, mu2, 2.0 * cfg.beta, sys)
-        rhs = VT @ (sys.w_data[:, None] * (Y1 + mu1 * (C + wU))) \
+        rhs = VT(sys.w_data[:, None] * (Y1 + mu1 * (C + wU))) \
             + BT @ (sys.w_smooth[:, None] * (Y2 + mu2 * A))
         if cfg.beta > 0:
             R = project_rotations(X)
@@ -183,17 +183,16 @@ def admm_solve(sys, X_init, cfg):
 
 
 def update_weights(X_prev, sys, eps_data, eps_smooth):
-    """Inverse-residual diagonal weights.
-
-    Data weight i is 1 / (l1 residual of vertex i + eps) where vertex i is
-    matched (``sys.w_data`` > 0), else 0; smoothness weight for edge (i, j) is
+    """Inverse-residual diagonal weights; ``sys`` has binary data and unit
+    smoothness weights, as ``assemble_system`` makes it. Data weight i is
+    1 / (l1 residual of vertex i + eps) where vertex i is matched
+    (``sys.w_data`` > 0), else 0; smoothness weight for edge (i, j) is
     1 / (l1 of X_i v_i - X_j v_i + eps). Residuals use the previous outer
     iteration's transforms (identity on the first iteration).
     """
-    pos = sys.structure.V @ X_prev.stacked
-    data_res = np.abs(pos - sys.U_f).sum(axis=1)
+    data_res = np.abs(sys.data_residual(X_prev)).sum(axis=1)
     w_data = np.where(sys.w_data > 0, 1.0 / (data_res + eps_data), 0.0)
-    edge_res = np.abs(sys.structure.B @ X_prev.stacked).sum(axis=1)
+    edge_res = np.abs(sys.smooth_residual(X_prev)).sum(axis=1)
     w_smooth = 1.0 / (edge_res + eps_smooth)
     return w_data, w_smooth
 
@@ -214,7 +213,7 @@ def solve_l2_baseline(sys, alpha, held=None):
     if held is None or not np.array_equal(mask, held[0]):
         binary = replace(sys, w_data=w, w_smooth=np.ones(len(sys.w_smooth)))
         held = mask, factorize_system(1.0, alpha, 0.0, binary)
-    return solve_X(held[1], sys.structure.V.T @ (w[:, None] * sys.U_f)), held
+    return solve_X(held[1], sys.structure.data_transpose(w[:, None] * sys.U_f)), held
 
 
 @dataclass

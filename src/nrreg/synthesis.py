@@ -18,27 +18,13 @@ def rng_from_seed(seed):
     return Generator(Philox(seed))
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    kind: str                    # "noise" | "outliers"
-    sigma: float = 0.3           # std in units of the target mean edge length
-    outlier_fraction: float = 0.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("noise", "outliers"):
-            raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
-        if not 0.0 <= self.outlier_fraction <= 1.0:
-            raise ValueError("outlier_fraction must be in [0, 1]")
-
-
 def _displace_along_normals(target, fraction, sigma, seed):
     """Draw g ~ N(0, 1) per vertex from the seeded generator, then a uniform
     floor(fraction * M) subset (every vertex at fraction 1, with no draw),
     and move that subset along its normals by g * sigma * l_bar. Returns
     (shape without normals, sorted indices)."""
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     shape = with_normals(target)
     if shape.normals is None:
         raise ValueError("vertex normals require faces")
@@ -69,13 +55,6 @@ def perturb_outliers(target, fraction, magnitude_sigma=3.0, seed=0):
     return _displace_along_normals(target, fraction, magnitude_sigma, seed)
 
 
-def apply_corruption(target, spec):
-    """Dispatch a CorruptionSpec; returns (shape, outlier index array)."""
-    if spec.kind == "noise":
-        return perturb_noise(target, spec.sigma, spec.rng_seed), np.array([], np.int64)
-    return perturb_outliers(target, spec.outlier_fraction, spec.sigma, spec.rng_seed)
-
-
 @dataclass(frozen=True)
 class DeformationSpec:
     """Piecewise-rigid ground-truth deformation.
@@ -101,6 +80,10 @@ class DeformationSpec:
     def __post_init__(self):
         if self.kind not in ("rigid", "bend", "regions"):
             raise ValueError(f"unknown deformation kind {self.kind!r}")
+        for name in ("angle_deg", "band_start", "band_end", "axis", "axis_point",
+                     "translation", "blend_direction"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "bend" and not self.band_end > self.band_start:
             raise ValueError("band_end must exceed band_start")
 

@@ -54,13 +54,23 @@ def brute_force_closest(queries, points):
     return idx, np.sqrt(d2[np.arange(len(queries)), idx])
 
 
+def data_operator(vh):
+    """Reference data operator V: the block-diagonal (N, 4N) CSR matrix whose
+    row i is the homogeneous vertex vh[i] in block i. The program never forms
+    it; ``TransformStack.apply`` gives V X and ``SystemStructure.data_transpose``
+    V^T a."""
+    n = len(vh)
+    rows, cols = np.repeat(np.arange(n), 4), np.arange(4 * n)
+    return sp.csr_matrix((vh.reshape(-1), (rows, cols)), shape=(n, 4 * n))
+
+
 def sparse_product_system_matrix(mu1, mu2, beta, sys):
     """Reference transform-update matrix from scipy sparse products, in
     canonical CSC form: mu1 (W_D V)^T (W_D V) + mu2 (W_S B)^T (W_S B) + beta S,
     S the per-vertex selector diag(1, 1, 1, 0) of the linear parts. Sparse
     arithmetic drops entries that come out exactly zero. The program never
     forms this matrix."""
-    WV = sp.diags(sys.w_data) @ sys.structure.V
+    WV = sp.diags(sys.w_data) @ data_operator(sys.structure.vh)
     WB = sp.diags(sys.w_smooth) @ sys.structure.B
     a = mu1 * (WV.T @ WV) + mu2 * (WB.T @ WB)
     if beta != 0.0:

@@ -30,6 +30,8 @@ from nrreg.metrics import mean_distance_error
 from nrreg.operators import nearest_rotations
 from nrreg.synthesis import landmark_subset
 
+from conftest import data_operator
+
 # criterion 2's reference matrix: the 4N x 4N system from sparse products
 from conftest import sparse_product_system_matrix as system_matrix
 
@@ -257,7 +259,8 @@ def test_criterion_03_admm_convergence_and_convex_oracle(criterion, bend_instanc
         sel = np.arange(4 * n).reshape(n, 4)[:, :3].ravel()
         rt = state.R.transpose(0, 2, 1).reshape(3 * n, 3)
         data = cvxpy.sum(cvxpy.abs(
-            cvxpy.multiply(sys_.w_data[:, None], sys_.structure.V @ xv - sys_.U_f)))
+            cvxpy.multiply(sys_.w_data[:, None],
+                           data_operator(sys_.structure.vh) @ xv - sys_.U_f)))
         smooth = cvxpy.sum(cvxpy.abs(
             cvxpy.multiply(sys_.w_smooth[:, None], sys_.structure.B @ xv)))
         orth = cvxpy.sum_squares(xv[sel] - rt)
@@ -330,7 +333,7 @@ def test_criterion_08_residual_distributions(criterion, bend_instance):
         result = register(inst["template"], inst["target"], landmarks,
                           replace(inst["cfg"], variant="snr"))
         sys_ = result.final_system
-        offsets = (sys_.structure.V @ result.final_state.X.stacked
+        offsets = (result.final_state.X.apply(sys_.structure.vh[:, :3])
                    - sys_.U_f)[sys_.w_data > 0]
         for mode in ("per_axis_l1", "euclidean"):
             samples = residuals_for_analysis(offsets, mode)

@@ -10,7 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nrreg import Shape, TransformStack, load_shape, save_shape
+from nrreg import (
+    Shape,
+    TransformStack,
+    load_shape,
+    perturb_noise,
+    perturb_outliers,
+    save_shape,
+)
 from nrreg.cli import CliError, load_config, load_transforms, main, save_transforms
 from nrreg.correspondence import save_correspondences
 
@@ -316,6 +323,26 @@ class TestPerturbCommand:
         assert code == 1
         assert "sigma must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["outliers", "noise"])
+    def test_writes_protocol_output(self, instance, tmp_path, kind):
+        # perturb writes what the library protocol returns, byte for byte;
+        # noise moves every vertex and lists no outliers
+        out = tmp_path / "p"
+        assert run("perturb", "--input", str(instance / "target.ply"),
+                   "--kind", kind, "--sigma", "2.0", "--fraction", "0.1",
+                   "--seed", "7", "--out", str(out)) == 0
+        target = load_shape(instance / "target.ply")
+        if kind == "outliers":
+            shape, idx = perturb_outliers(target, 0.1, 2.0, seed=7)
+            assert len(idx) == int(0.1 * target.n_vertices)
+        else:
+            shape, idx = perturb_noise(target, 2.0, seed=7), []
+        save_shape(shape, tmp_path / "direct.ply")
+        assert (out / "corrupted.ply").read_bytes() == \
+            (tmp_path / "direct.ply").read_bytes()
+        assert (out / "outliers.txt").read_text() == \
+            "".join(f"{i}\n" for i in idx)
+
     def test_same_seed_byte_identical(self, instance, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -604,6 +631,14 @@ def error_case_argv(case, inst, tmp):
     if case == "outlier-fraction":
         return ["perturb", "--input", g, "--kind", "outliers",
                 "--fraction", "2", "--out", out]
+    if case == "noise-fraction":
+        return ["perturb", "--input", g, "--kind", "noise",
+                "--fraction", "2", "--out", out]
+    if case.startswith("inf-sigma-"):
+        return ["perturb", "--input", g, "--kind", case[10:], "--sigma", "inf",
+                "--out", out]
+    if case == "unknown-kind":
+        return ["perturb", "--input", g, "--kind", "melt", "--out", out]
     if case == "zero-band":
         return ["synth", "--nx", "4", "--ny", "3", "--band", "0", "--out", out]
     if case == "non-numeric-sigmas":
@@ -681,6 +716,9 @@ SYNTH_FAULTS = {
                          "spacing must be finite and positive, got -0.1"),
     "nan-spacing": (["--spacing", "nan"], "spacing must be finite and positive, got nan"),
     "nan-relief": (["--relief", "nan"], "relief must be finite, got nan"),
+    "inf-angle": (["--angle", "inf"], "angle_deg must be finite, got inf"),
+    "nan-angle": (["--angle", "nan"], "angle_deg must be finite, got nan"),
+    "nan-band": (["--band", "nan"], "band_start must be finite, got nan"),
 }
 
 
@@ -688,7 +726,11 @@ SYNTH_FAULTS = {
 ERROR_CAUSES = {
     "duplicate-corr": "duplicate template index 0",
     "nan-sigma": "sigma must be nonnegative",
-    "outlier-fraction": "outlier_fraction must be in [0, 1]",
+    "outlier-fraction": "--fraction must be in [0, 1], got 2.0",
+    "noise-fraction": "--fraction must be in [0, 1], got 2.0",
+    "inf-sigma-noise": "sigma must be nonnegative and finite, got inf",
+    "inf-sigma-outliers": "sigma must be nonnegative and finite, got inf",
+    "unknown-kind": "argument --kind: invalid choice: 'melt'",
     "zero-band": "band_end must exceed band_start",
     "non-numeric-sigmas": "'abc'",
     "ground-truth-size": "ground truth must be (96, 3)",

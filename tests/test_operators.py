@@ -20,7 +20,6 @@ from nrreg import (
     SystemMatrices,
     TransformStack,
     assemble_B,
-    assemble_V,
     assemble_system,
     block_shrink,
     factorize_system,
@@ -43,6 +42,7 @@ from nrreg.synthesis import landmark_subset, make_strip
 
 from conftest import (
     block_order_factorization,
+    data_operator,
     random_cloud,
     sparse_product_system_matrix,
 )
@@ -113,30 +113,6 @@ def small_system(n=20, seed=0, match_fraction=0.8):
     w_s = rng.uniform(0.5, 2.0, len(edges))
     from dataclasses import replace
     return replace(sys_, w_data=w_d, w_smooth=w_s)
-
-
-class TestAssembleV:
-    def test_single_vertex(self):
-        v = assemble_V(np.array([[1.0, 2.0, 3.0]]))
-        np.testing.assert_allclose(v.toarray(), [[1, 2, 3, 1]])
-
-    def test_two_vertex_block_diagonal(self):
-        v = assemble_V(np.array([[1.0, 0, 0], [0, 2.0, 0]]))
-        dense = v.toarray()
-        assert dense.shape == (2, 8)
-        assert v.nnz == 8
-        assert np.all(dense[0, 4:] == 0) and np.all(dense[1, :4] == 0)
-
-    def test_identity_transforms_reproduce_vertices(self):
-        verts = random_cloud(15, seed=1)
-        v = assemble_V(verts)
-        x = TransformStack.identity(15)
-        np.testing.assert_allclose(v @ x.stacked, verts, atol=1e-14)
-
-    def test_row_support_in_own_block(self):
-        verts = random_cloud(9, seed=2)
-        v = assemble_V(verts).tocoo()
-        assert np.all(v.col // 4 == v.row)
 
 
 class TestAssembleB:
@@ -560,10 +536,11 @@ class TestSTerms:
         a_aux = rng.standard_normal((len(sys_.w_smooth), 3))
         y1 = rng.standard_normal((8, 3))
         y2 = rng.standard_normal((len(sys_.w_smooth), 3))
+        v = data_operator(sys_.structure.vh)
 
         def objective(x_flat):
             x = x_flat.reshape(32, 3)
-            g1 = sys_.w_data[:, None] * (sys_.structure.V @ x - sys_.U_f)
+            g1 = sys_.w_data[:, None] * (v @ x - sys_.U_f)
             g2 = sys_.w_smooth[:, None] * (sys_.structure.B @ x)
             lin = TransformStack.from_stacked(x).linear_parts()
             return (beta * np.sum((lin - rot) ** 2)
@@ -572,7 +549,7 @@ class TestSTerms:
 
         a_mat = sparse_product_system_matrix(mu1, mu2, 2.0 * beta, sys_)
         wU = sys_.w_data[:, None] * sys_.U_f
-        rhs = sys_.structure.V.T @ (sys_.w_data[:, None] * (y1 + mu1 * (c + wU))) \
+        rhs = v.T @ (sys_.w_data[:, None] * (y1 + mu1 * (c + wU))) \
             + sys_.structure.B.T @ (sys_.w_smooth[:, None] * (y2 + mu2 * a_aux))
         # rotation term: 2*beta R_i^T in rows 0-2 of block i, as admm_solve adds it
         rhs.reshape(8, 4, 3)[:, :3] += 2.0 * beta * rot.transpose(0, 2, 1)
@@ -629,7 +606,7 @@ class TestSystemInvariants:
     def test_apply_matches_stacked_product(self):
         verts = random_cloud(7, seed=11)
         x = TransformStack(np.random.default_rng(12).standard_normal((7, 3, 4)))
-        v = assemble_V(verts)
+        v = data_operator(homogeneous(verts))
         np.testing.assert_allclose(x.apply(verts), v @ x.stacked, atol=1e-12)
 
     def test_apply_rejects_vertex_count_mismatch(self):
@@ -639,17 +616,40 @@ class TestSystemInvariants:
 
     @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
     def test_transposed_views_bit_equal(self, bend_instance, variant):
-        # the right-hand sides' transposed views of V and B give the products
-        # bit for bit as explicit CSR transposes, on the final bend systems;
+        # the right-hand side's transposed view of B gives the product bit
+        # for bit as an explicit CSR transpose, on the final bend systems;
         # the structure stores no transpose of its own
         b = bend_instance
         st_ = register(b["template"], b["target"], b["landmarks"],
                        replace(b["cfg"], variant=variant)).final_system.structure
         rng = np.random.default_rng(13)
-        for matrix in (st_.V, st_.B):
-            y = rng.standard_normal((matrix.shape[0], 3))
-            assert np.array_equal(matrix.T @ y, matrix.T.tocsr() @ y)
+        y = rng.standard_normal((st_.B.shape[0], 3))
+        assert np.array_equal(st_.B.T @ y, st_.B.T.tocsr() @ y)
         assert not {"VT", "BT"} & set(dir(st_))
+
+    @pytest.mark.parametrize("variant", ["dual_sparse", "l2"])
+    def test_data_transpose_bit_equal_to_sparse_product(self, bend_instance,
+                                                        variant):
+        # V^T a has one product per entry: the structure forms the entries
+        # scipy's V^T @ a forms bit for bit, zeros' signs included, on the
+        # final bend systems (whose unmatched rows hold zeros), and the
+        # structure holds no V
+        b = bend_instance
+        sys_ = register(b["template"], b["target"], b["landmarks"],
+                        replace(b["cfg"], variant=variant)).final_system
+        st_ = sys_.structure
+        v = data_operator(st_.vh)
+        a = np.random.default_rng(14).standard_normal((st_.n, 3))
+        for y in (a, sys_.w_data[:, None] * sys_.U_f):
+            assert np.array_equal(st_.data_transpose(y).view(np.int64),
+                                  (v.T @ y).view(np.int64))
+        assert not hasattr(st_, "V")
+
+    def test_removed_data_operator_not_exported(self):
+        import nrreg
+        import nrreg.operators
+        assert not hasattr(nrreg, "assemble_V")
+        assert not hasattr(nrreg.operators, "assemble_V")
 
 
 # coordinates drawn partly from a coarse set, so exact zeros (and the entries

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+import nrreg
+import nrreg.synthesis
 from nrreg import Shape, make_strip, perturb_noise, perturb_outliers, synth_deformation
 from nrreg.geometry import mean_edge_length, with_normals
 from nrreg.synthesis import (
-    CorruptionSpec,
     DeformationSpec,
-    apply_corruption,
     landmark_subset,
     rng_from_seed,
     rotation_about_axis,
@@ -99,13 +99,20 @@ class TestPerturbOutliers:
         cross = np.cross(delta, with_normals(noisy).normals[idx])
         assert len(idx) and np.abs(cross).max() < 1e-9
 
-    def test_apply_corruption_dispatch(self, strip):
-        spec = CorruptionSpec(kind="outliers", sigma=2.0, outlier_fraction=0.1,
-                              rng_seed=7)
-        out, idx = apply_corruption(strip, spec)
-        direct, idx2 = perturb_outliers(strip, 0.1, 2.0, seed=7)
-        assert np.array_equal(out.vertices, direct.vertices)
-        assert np.array_equal(idx, idx2)
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_sigma_must_be_nonnegative_and_finite(self, strip, sigma):
+        # both protocols check sigma where they displace, before any draw
+        match = f"sigma must be nonnegative and finite, got {sigma}"
+        with pytest.raises(ValueError, match=match):
+            perturb_noise(strip, sigma)
+        with pytest.raises(ValueError, match=match):
+            perturb_outliers(strip, 0.1, sigma)
+
+    def test_no_corruption_spec_layer(self):
+        # perturb calls the two protocols directly
+        assert not hasattr(nrreg, "CorruptionSpec")
+        assert not hasattr(nrreg.synthesis, "CorruptionSpec")
+        assert not hasattr(nrreg.synthesis, "apply_corruption")
 
 
 class TestSynthDeformation:
@@ -174,8 +181,17 @@ class TestSynthDeformation:
             DeformationSpec(kind="twist")
         with pytest.raises(ValueError):
             DeformationSpec(kind="bend", band_start=1.0, band_end=0.5)
-        with pytest.raises(ValueError):
-            CorruptionSpec(kind="melt")
+
+    @pytest.mark.parametrize("field,value", [
+        ("angle_deg", np.inf), ("angle_deg", np.nan), ("band_start", np.nan),
+        ("band_end", -np.inf), ("axis", (0.0, np.nan, 1.0)),
+        ("axis_point", (np.inf, 0.0, 0.0)), ("translation", (0.0, 0.0, -np.inf)),
+        ("blend_direction", (np.nan, 0.0, 0.0))])
+    def test_non_finite_field_named(self, field, value):
+        # every real is checked for finiteness, before the band order (which
+        # a NaN band fails too)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            DeformationSpec(kind="bend", **{field: value})
 
 
 class TestHelpers:
