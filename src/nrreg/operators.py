@@ -102,8 +102,9 @@ class SystemStructure:
     (p, p) entries are the N vertex diagonals, then the distinct edge pairs
     (lo, hi); edge k adds to ``edge_pp[:, k]``, its (i, i), (j, j) and
     (lo, hi), and entry m goes to band slot ``pp_band[m]``. ``order`` is
-    the reverse Cuthill-McKee order of the condensed pattern (George & Liu
-    1981), position k holding vertex order[k]; in that order every
+    the narrower-banded of two orders of the condensed pattern, its reverse
+    Cuthill-McKee order (George & Liu 1981) and the input vertex order (a
+    tie keeps RCM), position k holding vertex order[k]; in that order every
     condensed entry lies within ``bandwidth`` of the diagonal, and
     condensed entry k goes to the read-only flat index ``band_index[k]`` of
     the Fortran-order (bandwidth + 1, N) lower band LAPACK's banded
@@ -154,6 +155,11 @@ class SystemStructure:
         r, c = position[lo], position[hi]
         below = np.abs(r - c)
         self.bandwidth = int(below.max(initial=0))
+        # the input order where its band is narrower (lo <= hi: no gather)
+        natural = int((hi - lo).max(initial=0))
+        if natural < self.bandwidth:
+            self.order, r, c, below = np.arange(n), lo, hi, hi - lo
+            self.bandwidth = natural
         self.band_index, = _read_only(
             (below + (self.bandwidth + 1) * np.minimum(r, c)).astype(np.int32))
         # columns dN + j, d = 0, 1, 2, repeat the rows of column group j
@@ -198,7 +204,8 @@ class PenaltyBasis:
     ``lift`` (N, 4, 3) holds [Q_j; -v_j^T Q_j], the way from the eigenbasis
     back to X coordinates; its transpose Q_j^T [I | -v_j] is the way there.
     ``H`` is the (N, 3N) coupling Q_j^T g of every couple entry g of K_S,
-    column dN + j (``H.T``: a CSR view on the same arrays). ``P`` maps
+    column dN + j; ``HT`` is ``H.T``, a CSR view on the same arrays, made
+    once rather than per solve. ``P`` maps
     the (3N,) diagonal of F to the Schur complement's band: column dN + j
     holds h_d h'_d for each pair (h, h') of couple entries in column j.
     ``ks_pp`` holds K_S's (p, p) entries at ``pp_band``.
@@ -232,6 +239,7 @@ class PenaltyBasis:
             h += qt[c].take(st.couple_col, axis=1) * g[c]
         self.H = sp.csc_matrix((h.reshape(-1), st.couple_rows, st.couple_indptr),
                                shape=(n, 3 * n))
+        self.HT = self.H.T
         pairs = np.empty((3, len(st.pair_first)))
         for d in range(3):
             h[d].take(st.pair_first, out=pairs[d])
@@ -266,8 +274,10 @@ class SystemMatrices:
         return self.structure.unit_penalty_basis
 
     def data_residual(self, X):
-        """W_D (V X - U_f) as an (N, 3) dense matrix."""
-        return self.w_data[:, None] * (X.apply(self.structure.vh[:, :3]) - self.U_f)
+        """W_D (V X - U_f) as an (N, 3) dense matrix; V X is ``X.apply`` of
+        the template, on the structure's homogeneous vertices."""
+        moved = np.einsum("nij,nj->ni", X.blocks, self.structure.vh)
+        return self.w_data[:, None] * (moved - self.U_f)
 
     def smooth_residual(self, X):
         """W_S B X as an (E, 3) dense matrix."""
@@ -305,11 +315,13 @@ def assemble_system(structure, corr, target_vertices):
 
 
 def shrink(x, tau):
-    """Soft threshold: sign(x) * max(|x| - tau, 0), element-wise."""
+    """Soft threshold sign(x) * max(|x| - tau, 0), element-wise, formed as
+    x minus its clip to [-tau, tau] (one pass fewer; a zero may differ in
+    sign only)."""
     if np.any(np.asarray(tau) < 0):
         raise ValueError("tau must be nonnegative")
     x = np.asarray(x)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    return x - np.clip(x, -tau, tau)
 
 
 def block_shrink(rows, tau):
@@ -374,21 +386,26 @@ def _newton_polar(m):
     condition number above ``_POLAR_COND`` (the polar factor is too
     sensitive to agree with the SVD to 1e-12; rank-deficient rows included),
     or no step at or below ``_POLAR_TOL`` within ``_POLAR_STEPS``. The input
-    is not modified.
+    is not modified: the (9, N) layout is a view of it where it can be one,
+    and the normalization writes a new array.
     """
     n = len(m)
-    a = m.reshape(n, 9).T.copy()
+    a = m.transpose(1, 2, 0).reshape(9, n)
     norm = np.sqrt(np.einsum("kn,kn->n", a, a))
-    a /= np.where(norm > 0, norm, 1.0)
-    _, det, cof_norm = _cofactors(a)
+    a = a / np.where(norm > 0, norm, 1.0)
+    c, det, cof_norm = _cofactors(a)
     # at unit Frobenius norm, ||cof|| / det is the Frobenius condition number,
     # and it is at most K only if every singular value is at least 1/K, so
     # det >= K^-3: far above the rounding of det and cof, which on a singular
     # input can pass the ratio test on their own
     ok = (det >= _POLAR_COND ** -3) & (cof_norm <= _POLAR_COND * det)
-    a[:, ~ok] = np.eye(3).reshape(9, 1)       # a fixed point of the step
+    # the identity, a fixed point of the step, with the cofactors, det and
+    # cofactor norm the formula gives it; the check's serve the first step
+    eye = np.eye(3).reshape(9, 1)
+    a[:, ~ok] = c[:, ~ok] = eye
+    det[~ok] = 1.0
+    cof_norm[~ok] = np.sqrt(3.0)
     for _ in range(_POLAR_STEPS):
-        c, det, cof_norm = _cofactors(a)
         zeta = np.sqrt(cof_norm / (det * np.sqrt(np.einsum("kn,kn->n", a, a))))
         new = 0.5 * (zeta * a + c / (zeta * det))
         step = np.abs(new - a).max(axis=0)
@@ -396,6 +413,7 @@ def _newton_polar(m):
         # quadratic convergence: after a step of 1e-9 the error is at rounding
         if step.max(initial=0.0) <= _POLAR_TOL:
             break
+        c, det, cof_norm = _cofactors(a)
     return a.T.reshape(n, 3, 3), ok & (step <= _POLAR_TOL)
 
 
@@ -457,7 +475,7 @@ class Factorization:
         c = b[:, 3] - self._mu2 * (basis.H @ z.transpose(1, 0, 2).reshape(3 * n, -1))
         p = np.empty_like(c)
         p[st.order] = dpbtrs(self._band, c[st.order], lower=1, overwrite_b=1)[0]
-        y = z - self._mu2f * (basis.H.T @ p).reshape(3, n, -1).transpose(1, 0, 2)
+        y = z - self._mu2f * (basis.HT @ p).reshape(3, n, -1).transpose(1, 0, 2)
         # back to X: x = [Q; -v^T Q] y + e_p p
         x = basis.lift @ y
         x[:, 3] += p
@@ -481,8 +499,8 @@ def factorize_system(mu1, mu2, beta, sys):
     mu2 G_j, G_j = sum_(i, j) w^2 d d^T, d = v_i - v_j. In the system's
     ``PenaltyBasis`` each M_j^-1 is the diagonal F_j, so the Schur
     complement in p is mu2 K_S,pp + mu1 W_D^2 - mu2^2 P f, one sparse
-    product straight into the band of the registration's fixed reverse
-    Cuthill-McKee order (no ordering per call), which LAPACK's banded
+    product straight into the band of the registration's fixed order
+    (``SystemStructure.order``; no ordering per call), which LAPACK's banded
     Cholesky factorizes. The basis is built once per system. The singular
     test reads the pivots L_ii^2 and the 3x3 blocks' pivots beta + mu2
     lambda scaled by s^-2, which makes them commensurate; s is a power of
@@ -512,9 +530,10 @@ def factorize_system(mu1, mu2, beta, sys):
         raise _singular(mu1, mu2, beta, sys)
     # a factor of a nearly singular matrix can come out with tiny pivots; check
     pivots = np.concatenate([np.square(band[0]), st.pivot_scale * diag.reshape(-1)])
-    if pivots.min() <= 1e-12 * max(pivots.max(), 1.0):
+    smallest, largest = pivots.min(), pivots.max()
+    if smallest <= 1e-12 * max(largest, 1.0):
         raise _singular(mu1, mu2, beta, sys)
-    return Factorization(band, st, basis, f, mu2, pivots.min() / pivots.max())
+    return Factorization(band, st, basis, f, mu2, smallest / largest)
 
 
 def _singular(mu1, mu2, beta, sys):

@@ -167,10 +167,11 @@ def admm_solve(sys, X_init, cfg):
         X = solve_X(handle, rhs)
         G1 = sys.data_residual(X)
         G2 = sys.smooth_residual(X)
-        Y1 = Y1 + mu1 * (C - G1)
-        Y2 = Y2 + mu2 * (A - G2)
-        r1 = float(np.linalg.norm(C - G1) / np.sqrt(max(n, 1)))
-        r2 = float(np.linalg.norm(A - G2) / np.sqrt(max(ne, 1)))
+        gap1, gap2 = C - G1, A - G2
+        Y1 = Y1 + mu1 * gap1
+        Y2 = Y2 + mu2 * gap2
+        r1 = float(np.linalg.norm(gap1) / np.sqrt(max(n, 1)))
+        r2 = float(np.linalg.norm(gap2) / np.sqrt(max(ne, 1)))
         history.append((r1, r2))
         mu1 *= RHO
         mu2 *= RHO

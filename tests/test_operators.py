@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from nrreg import (
@@ -368,6 +369,22 @@ class TestProjectRotations:
         # whatever its scale
         proper = (np.linalg.det(m) > 0) & (np.linalg.cond(m, "fro") <= _POLAR_COND / 2)
         assert fast[proper].all()
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_inputs_left_untouched(self, n):
+        # the (9, N) layout is a view of a contiguous stack (at N = 1 of any
+        # stack): neither function writes through it; the rows are scaled so
+        # that normalizing them changes every value
+        rng = np.random.default_rng(n)
+        blocks = 3.0 * rng.standard_normal((n, 3, 4))
+        X = TransformStack(blocks.copy())
+        m = np.ascontiguousarray(X.linear_parts())
+        m0 = m.copy()
+        _newton_polar(m)
+        _newton_polar(X.linear_parts())
+        project_rotations(X)
+        np.testing.assert_array_equal(m, m0)
+        np.testing.assert_array_equal(X.blocks, blocks)
 
     def test_scaled_iteration_settles_in_few_steps(self, monkeypatch):
         # the zeta scaling brings any scale and any Frobenius condition number
@@ -835,12 +852,31 @@ class TestSingularReport:
             assert _singular(mu1, mu2, beta, sys_).vertex_blocks == tuple(suspects)
 
 
+def condensed_bandwidths(edges, n):
+    """Bandwidths of the condensed N x N pattern in scipy's reverse
+    Cuthill-McKee order of its upper triangle and in the input order, read
+    off the edges: rows r and r' couple when each is j or the first
+    endpoint of an edge (., j), for some column j."""
+    e = edges[edges[:, 0] != edges[:, 1]]
+    rows = np.r_[np.arange(n), e[:, 0]]
+    cols = np.r_[np.arange(n), e[:, 1]]
+    col = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    pattern = (col @ col.T).tocoo()
+
+    def width(order):
+        position = np.argsort(order)
+        return int(np.abs(position[pattern.row] - position[pattern.col]).max())
+
+    return width(reverse_cuthill_mckee(sp.triu(pattern).tocsr())), width(np.arange(n))
+
+
 class TestBlockOrdering:
     def test_order_is_block_permutation_built_once(self, bend_instance,
                                                    monkeypatch):
-        # one reverse Cuthill-McKee order of the condensed N x N pattern per
-        # registration, however many factorizations the inner loop runs;
-        # SystemStructure imports the order from scipy where it is built
+        # one band order of the condensed N x N pattern per registration,
+        # however many factorizations the inner loop runs: the narrower of
+        # its reverse Cuthill-McKee order and the input order; SystemStructure
+        # imports the RCM order from scipy where it is built
         import scipy.sparse.csgraph
         import nrreg.solver
         counts = {"order": 0, "factorize": 0}
@@ -866,13 +902,21 @@ class TestBlockOrdering:
         st_ = res.final_system.structure
         n = st_.n
         np.testing.assert_array_equal(np.sort(st_.order), np.arange(n))
-        assert not np.array_equal(st_.order, np.arange(n))
-        # each condensed entry has its own slot of the (bandwidth + 1, N)
-        # band, vertex diagonals on the band's first row
-        width = st_.bandwidth + 1
-        assert len(np.unique(st_.band_index)) == len(st_.band_index)
-        assert st_.band_index.max() < width * n
-        np.testing.assert_array_equal(st_.pp_band[:n], width * np.argsort(st_.order))
+        assert st_.bandwidth == min(condensed_bandwidths(st_.edges, n))
+        # the same strip, its vertices relabelled: RCM's band is narrower
+        perm = np.random.default_rng(26).permutation(n)
+        label = np.argsort(perm)
+        relabelled = SystemStructure(st_.vh[perm, :3], label[st_.edges])
+        rcm, natural = condensed_bandwidths(relabelled.edges, n)
+        assert relabelled.bandwidth == rcm < natural
+        assert not np.array_equal(relabelled.order, np.arange(n))
+        for s in (st_, relabelled):
+            # each condensed entry has its own slot of the (bandwidth + 1, N)
+            # band, vertex diagonals on the band's first row
+            width = s.bandwidth + 1
+            assert len(np.unique(s.band_index)) == len(s.band_index)
+            assert s.band_index.max() < width * n
+            np.testing.assert_array_equal(s.pp_band[:n], width * np.argsort(s.order))
 
     @settings(max_examples=300, deadline=None)
     @given(weighted_systems())
@@ -1006,6 +1050,19 @@ class TestCondensedSolve:
         residual = np.linalg.norm(dense @ x - rhs)
         assert residual <= 1e-14 * (eig[-1] * np.linalg.norm(x) + np.linalg.norm(rhs))
         assert handle.pivot_ratio >= oracle_ratio
+
+    def test_wide_band_on_square(self):
+        # a 40 x 40 square's band is at least 32 wide, where LAPACK's banded
+        # Cholesky runs blocked BLAS-3 (so a threaded BLAS takes part in the
+        # factorization): the solve satisfies the 4N x 4N system
+        sys_ = weighted_mesh_system(40, 40)
+        assert sys_.structure.bandwidth >= 32
+        a = sparse_product_system_matrix(1.0, 1.0, 0.2, sys_)
+        rhs = np.random.default_rng(27).standard_normal((a.shape[0], 3))
+        x = factorize_system(1.0, 1.0, 0.2, sys_).solve(rhs)
+        ref = splu(a.tocsc()).solve(rhs)
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert np.linalg.norm(a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("beta", [0.0, 0.2])
     def test_pivot_ratio_reads_ldlt_pivots(self, beta):

@@ -611,6 +611,27 @@ class TestRegister:
         err = mean_distance_error(bend_run.transforms, b["template"], b["gt"])
         assert err < 1e-3 * b["template"].bbox_diagonal()
 
+    def test_vertex_order_leaves_registration(self, bend_run, bend_instance):
+        # the strip factorizes in its input order; relabelled, in its reverse
+        # Cuthill-McKee order: the registration takes the same iterations
+        # and reaches the same error
+        b = bend_instance
+        n = b["template"].n_vertices
+        perm = np.random.default_rng(28).permutation(n)
+        label = np.argsort(perm)
+        template = Shape(vertices=b["template"].vertices[perm],
+                         faces=label[b["template"].faces])
+        landmarks = CorrespondenceMap(b["landmarks"].mapping[perm])
+        res = register(template, b["target"], landmarks, b["cfg"])
+        identity = np.arange(n)
+        assert np.array_equal(bend_run.final_system.structure.order, identity)
+        assert not np.array_equal(res.final_system.structure.order, identity)
+        assert res.converged
+        assert [e["inner"] for e in res.log] == [e["inner"] for e in bend_run.log]
+        err = mean_distance_error(res.transforms, template, b["gt"][perm])
+        ref = mean_distance_error(bend_run.transforms, b["template"], b["gt"])
+        assert err == pytest.approx(ref, rel=1e-6)
+
 
 class TestL2Baseline:
     def test_exact_alignment_zero_residual(self):
